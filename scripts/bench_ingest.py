@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Ingest throughput benchmark: generates a mixed corpus once, then times
-the ship->parse->index loop for a few rounds and reports lines/second.
+`stormwatch.cli.ingest` (ship, parse, index and the per-batch registry
+checkpoint) for a few rounds and reports lines/second.
 
 Usage: python scripts/bench_ingest.py [--duration 2160] [--rounds 3]
 """
 
 import argparse
+import io
 import json
 import tempfile
 import time
 
+from stormwatch import cli, loggen, pipeline, shipper
 from stormwatch import index as index_store
-from stormwatch import loggen, pipeline, shipper
 from stormwatch.codecs import FILENAME_FOR_KIND, LogKind
 
 
@@ -19,21 +21,13 @@ def ingest_once(corpus_dir: str) -> tuple[int, float]:
     config = json.dumps(pipeline.default_pipeline_config("2024-03-01"))
     pipe = pipeline.load_pipeline(config)
     store = index_store.Store()
-    registry = shipper.TailRegistry()
-    lines = 0
-    started = time.perf_counter()
-    for kind in LogKind:
-        path = f"{corpus_dir}/{FILENAME_FOR_KIND[kind]}"
-        while True:
-            batch, registry = shipper.tail_once(registry, path, 5000)
-            if not batch.records:
-                break
-            for record in batch.records:
-                lines += 1
-                outcome = pipeline.process(pipe, record)
-                if isinstance(outcome, pipeline.Document):
-                    index_store.index_document(store, outcome)
-    return lines, time.perf_counter() - started
+    paths = [f"{corpus_dir}/{FILENAME_FOR_KIND[kind]}" for kind in LogKind]
+    with tempfile.TemporaryDirectory() as registry_dir:
+        ship = shipper.Shipper(f"{registry_dir}/registry.json", batch_size=5000)
+        started = time.perf_counter()
+        counts = cli.ingest(pipe, store, ship, paths, io.StringIO())
+        elapsed = time.perf_counter() - started
+    return counts["shipped"], elapsed
 
 
 def main() -> None:

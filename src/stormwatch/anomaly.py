@@ -11,9 +11,7 @@ sustained moderate shift retrains it.
 The forecast extrapolates a flat line at the current mean; the uncertainty
 band grows with the horizon as sigma * sqrt(1 + beta*h).
 
-The Gaussian tail is computed from scratch (power series below the
-switchover, a Lentz-evaluated continued fraction above); its accuracy is
-pinned by an oracle test against the platform's high-precision erfc.
+The Gaussian tail comes from the platform's `math.erfc`.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ from dataclasses import dataclass, field
 
 from .metrics import MetricSeries
 
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
 SIGMA_FLOOR_ABS = 1e-9
@@ -40,49 +36,10 @@ class WarmupError(RuntimeError):
 
 
 def erfc(x: float) -> float:
-    """Complementary error function, accurate to ~1e-14 relative.
-
-    Uses the alternating power series of erf for |x| < 1.5 and the Laplace
-    continued fraction (modified Lentz evaluation) above.
-    """
+    """Complementary error function; NaN is an error, not a NaN result."""
     if x != x:
         raise ValueError("erfc of NaN")
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x < 1.5:
-        xx = x * x
-        term = x
-        total = x
-        n = 0
-        while True:
-            n += 1
-            term *= -xx / n
-            increment = term / (2 * n + 1)
-            total += increment
-            if abs(increment) <= 1e-17 * abs(total) or n > 200:
-                break
-        return 1.0 - _TWO_OVER_SQRT_PI * total
-    if x > 26.0:
-        return 0.0  # below the smallest positive double
-    tiny = 1e-300
-    value = tiny
-    c = value
-    d = 0.0
-    half_inv_xx = 0.5 / (x * x)
-    for n in range(300):
-        a = 1.0 if n == 0 else n * half_inv_xx
-        d = 1.0 + a * d
-        if d == 0.0:
-            d = tiny
-        c = 1.0 + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        value *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) * _INV_SQRT_PI / x * value
+    return math.erfc(x)
 
 
 def gaussian_tail_probability(z: float) -> float:

@@ -101,6 +101,35 @@ def cmd_loggen(args) -> int:
     return EXIT_OK
 
 
+def ingest(pipe, store, ship, paths, dead_file) -> dict[str, int]:
+    """Ship each path to its end, process every record and index the documents.
+
+    Dead letters go to `dead_file` as JSON lines, and the shipper's registry
+    is checkpointed after every batch. Returns the shipped, indexed, dead and
+    dropped record counts.
+    """
+    shipped = indexed = dead = dropped = 0
+    for path in paths:
+        while True:
+            batch = ship.poll(path)
+            if not batch.records:
+                break
+            for record in batch.records:
+                shipped += 1
+                outcome = pipeline.process(pipe, record)
+                if outcome is None:
+                    dropped += 1
+                elif isinstance(outcome, pipeline.DeadLetter):
+                    dead += 1
+                    dead_file.write(pipeline.dead_letter_json(outcome))
+                    dead_file.write("\n")
+                else:
+                    index_store.index_document(store, outcome)
+                    indexed += 1
+            ship.checkpoint()
+    return {"shipped": shipped, "indexed": indexed, "dead": dead, "dropped": dropped}
+
+
 def cmd_ingest(args) -> int:
     for path in args.paths:
         if not os.path.exists(path):
@@ -118,33 +147,17 @@ def cmd_ingest(args) -> int:
     dead_path = args.dead_letters or os.path.join(args.store, "dead_letters.jsonl")
     ship = shipper.Shipper(registry_path, beat_name=args.beat_name, batch_size=args.batch_size)
 
-    shipped = indexed = dead = dropped = 0
     before = set(store.indices)
     started = time.perf_counter()
     with open(dead_path, "a", encoding="utf-8") as dead_file:
-        for path in args.paths:
-            try:
-                while True:
-                    batch = ship.poll(path)
-                    if not batch.records:
-                        break
-                    for record in batch.records:
-                        shipped += 1
-                        outcome = pipeline.process(pipe, record)
-                        if outcome is None:
-                            dropped += 1
-                        elif isinstance(outcome, pipeline.DeadLetter):
-                            dead += 1
-                            dead_file.write(pipeline.dead_letter_json(outcome))
-                            dead_file.write("\n")
-                        else:
-                            index_store.index_document(store, outcome)
-                            indexed += 1
-                    ship.checkpoint()
-            except UnknownLogKind as exc:
-                raise UsageError(str(exc)) from exc
+        try:
+            counts = ingest(pipe, store, ship, args.paths, dead_file)
+        except UnknownLogKind as exc:
+            raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
     index_store.save_store(store, args.store)
+    shipped, indexed = counts["shipped"], counts["indexed"]
+    dead, dropped = counts["dead"], counts["dropped"]
 
     created = sorted(set(store.indices) - before)
     rate = shipped / elapsed if elapsed > 0 else 0.0

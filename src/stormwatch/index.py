@@ -23,6 +23,7 @@ import zlib
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .pipeline import Document
 
@@ -163,30 +164,6 @@ def query_from_json(obj: dict) -> Query:
     raise ValueError(f"unknown query node kind: {kind!r}")
 
 
-def query_to_json(q: Query) -> dict:
-    if isinstance(q, MatchAll):
-        return {"match_all": {}}
-    if isinstance(q, Term):
-        return {"term": {"field": q.field, "value": q.value}}
-    if isinstance(q, And):
-        return {"and": [query_to_json(c) for c in q.clauses]}
-    if isinstance(q, Or):
-        return {"or": [query_to_json(c) for c in q.clauses]}
-    if isinstance(q, Not):
-        return {"not": query_to_json(q.clause)}
-    if isinstance(q, Range):
-        return {
-            "range": {
-                "field": q.field,
-                "min": q.min,
-                "max": q.max,
-                "include_min": q.include_min,
-                "include_max": q.include_max,
-            }
-        }
-    raise ValueError(f"unknown query node: {q!r}")
-
-
 def aggregation_from_json(obj: dict) -> Aggregation:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"aggregation must be a single-key object: {obj!r}")
@@ -220,27 +197,32 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(lowered)
 
 
+# The document in a shard entry (see `Shard`).
+_DOCUMENT = itemgetter(3)
+
+
 class Shard:
     """One shard's documents, postings and numeric columns.
 
-    Keyword fields and `id` get postings at upsert. A text field's postings
-    are built from `stored` by its first term query; the field is then
-    recorded in `text_built`, and later upserts tokenize it too. `keys` holds
-    each live document's (@timestamp, id) sort key, so that search orders its
-    hits without computing a key per document. `ranges` holds a numeric
-    field's live values in sorted order, built by its first range query and
-    dropped by the next upsert, so that a range query bisects.
+    `entries` maps each live document's ordinal to its (@timestamp, id,
+    index name, document) tuple, so that search sorts its hits as plain
+    tuples and reads the documents off them; an id is unique within an index,
+    so two tuples never compare their documents. Keyword fields and `id` get
+    postings at upsert. A text field's postings are built from `entries` by
+    its first term query; the field is then recorded in `text_built`, and
+    later upserts tokenize it too. `ranges` holds a numeric field's live
+    values in sorted order, built by its first range query and dropped by the
+    next upsert, so that a range query bisects.
     """
 
     __slots__ = (
-        "stored", "by_id", "keys", "postings", "numeric", "ranges", "next_ord",
+        "entries", "by_id", "postings", "numeric", "ranges", "next_ord",
         "text_built",
     )
 
     def __init__(self) -> None:
-        self.stored: dict[int, Document] = {}
+        self.entries: dict[int, tuple] = {}
         self.by_id: dict[str, int] = {}
-        self.keys: dict[int, tuple] = {}
         self.postings: dict[str, dict[str, list[int]]] = {}
         self.numeric: dict[str, dict[int, float]] = {}
         self.ranges: dict[str, tuple[list[float], list[int], list[int]]] = {}
@@ -253,14 +235,12 @@ class Shard:
         self.ranges.clear()
         old = self.by_id.get(doc.id)
         if old is not None:
-            del self.stored[old]
-            del self.keys[old]
+            del self.entries[old]
             replaced = True
         ord_ = self.next_ord
         self.next_ord = ord_ + 1
-        self.stored[ord_] = doc
+        self.entries[ord_] = (doc.fields.get("@timestamp"), doc.id, doc.index_name, doc)
         self.by_id[doc.id] = ord_
-        self.keys[ord_] = (doc.fields.get("@timestamp"), doc.id)
         postings = self.postings
         numeric = self.numeric
         keyword_fields = KEYWORD_FIELDS
@@ -296,12 +276,11 @@ class Shard:
         return replaced
 
     def _live(self, ords: list[int]) -> set[int]:
-        stored = self.stored
-        return {o for o in ords if o in stored}
+        return self.entries.keys() & ords
 
     def evaluate(self, q: Query) -> set[int]:
         if isinstance(q, MatchAll):
-            return set(self.stored)
+            return set(self.entries)
         if isinstance(q, Term):
             return self._eval_term(q)
         if isinstance(q, And):
@@ -311,14 +290,14 @@ class Shard:
                 result = hit if result is None else result & hit
                 if not result:
                     return set()
-            return result if result is not None else set(self.stored)
+            return result if result is not None else set(self.entries)
         if isinstance(q, Or):
             result = set()
             for clause in q.clauses:
                 result |= self.evaluate(clause)
             return result
         if isinstance(q, Not):
-            return set(self.stored) - self.evaluate(q.clause)
+            return set(self.entries) - self.evaluate(q.clause)
         if isinstance(q, Range):
             return self._eval_range(q)
         raise StoreError(f"unknown query node: {q!r}")
@@ -329,9 +308,9 @@ class Shard:
             col = self.numeric.get(q.field)
             if col is None:
                 return set()
-            stored = self.stored
-            live = sorted((v, o) for o, v in col.items() if v == v and o in stored)
-            nan = [o for o, v in col.items() if v != v and o in stored]
+            entries = self.entries
+            live = sorted((v, o) for o, v in col.items() if v == v and o in entries)
+            nan = [o for o, v in col.items() if v != v and o in entries]
             column = ([v for v, _ in live], [o for _, o in live], nan)
             self.ranges[q.field] = column
         values, ords, nan = column
@@ -356,8 +335,8 @@ class Shard:
             if col is None:
                 return set()
             target = float(value)
-            stored = self.stored
-            return {o for o, v in col.items() if v == target and o in stored}
+            entries = self.entries
+            return {o for o, v in col.items() if v == target and o in entries}
         if not isinstance(value, str):
             return set()
         if q.field in KEYWORD_FIELDS or q.field == "id":
@@ -378,12 +357,12 @@ class Shard:
         return result or set()
 
     def _text_postings(self, field: str) -> dict[str, list[int]]:
-        """The field's token postings, built from `stored` on first use."""
+        """The field's token postings, built from `entries` on first use."""
         if field in self.text_built:
             return self.postings[field]
         terms: dict[str, list[int]] = {}
-        for ord_, doc in self.stored.items():
-            text = doc.fields.get(field)
+        for ord_, entry in self.entries.items():
+            text = entry[3].fields.get(field)
             if type(text) is str:
                 _add_tokens(terms, text, ord_)
         self.postings[field] = terms
@@ -411,13 +390,10 @@ class TimeIndex:
     def doc_count(self) -> int:
         return sum(len(s.by_id) for s in self.shards)
 
-    def route(self, doc_id: str) -> Shard:
+    def upsert(self, doc: Document) -> None:
         # crc32 is stable across processes, which keeps routing consistent
         # between snapshot reloads (same id, same shard, upsert still works).
-        return self.shards[zlib.crc32(doc_id.encode("utf-8")) % len(self.shards)]
-
-    def upsert(self, doc: Document) -> None:
-        self.route(doc.id).upsert(doc)
+        self.shards[zlib.crc32(doc.id.encode("utf-8")) % len(self.shards)].upsert(doc)
         self.dirty = True
 
 
@@ -427,13 +403,6 @@ class Store:
     def __init__(self, shard_count: int = 2) -> None:
         self.shard_count = shard_count
         self.indices: dict[str, TimeIndex] = {}
-
-    def get_or_create(self, name: str) -> TimeIndex:
-        idx = self.indices.get(name)
-        if idx is None:
-            idx = TimeIndex(name, self.shard_count)
-            self.indices[name] = idx
-        return idx
 
 
 _DAY_BOUNDS_CACHE: dict[str, tuple[int, int] | None] = {}
@@ -470,9 +439,8 @@ def index_document(store: Store, doc: Document) -> None:
         )
     index = store.indices.get(doc.index_name)
     if index is None:
-        index = store.get_or_create(doc.index_name)
-    index.shards[zlib.crc32(doc.id.encode("utf-8")) % len(index.shards)].upsert(doc)
-    index.dirty = True
+        index = store.indices[doc.index_name] = TimeIndex(doc.index_name, store.shard_count)
+    index.upsert(doc)
 
 
 def match_index_pattern(pattern: str, names: list[str]) -> list[str]:
@@ -511,7 +479,7 @@ def _collect(
 ) -> list[Document]:
     docs: list[Document] = []
     for shard, hits in _matches(store, indices, q, time_range):
-        docs.extend(map(shard.stored.__getitem__, hits))
+        docs.extend(map(_DOCUMENT, map(shard.entries.__getitem__, hits)))
     return docs
 
 
@@ -526,13 +494,11 @@ def search(
     `time_range` is (from_ms inclusive, to_ms exclusive); either bound may
     be None. Unknown fields match nothing rather than failing.
     """
-    docs: list[Document] = []
-    keys: list[tuple] = []
+    entries: list[tuple] = []
     for shard, hits in _matches(store, indices, q, time_range):
-        docs.extend(map(shard.stored.__getitem__, hits))
-        keys.extend(map(shard.keys.__getitem__, hits))
-    order = sorted(range(len(docs)), key=keys.__getitem__)
-    return list(map(docs.__getitem__, order))
+        entries.extend(map(shard.entries.__getitem__, hits))
+    entries.sort()
+    return list(map(_DOCUMENT, entries))
 
 
 def aggregate(
@@ -603,32 +569,6 @@ def delete_index(store: Store, name: str) -> None:
     del store.indices[name]
 
 
-def retention_sweep(store: Store, keep_days: int) -> list[str]:
-    """Drop the oldest dated indices, keeping the newest `keep_days` UTC days.
-
-    Returns the deleted index names. The day order is the lexicographic
-    order of the YYYY.MM.DD name suffix.
-    """
-    if keep_days < 0:
-        raise StoreError("keep_days must be >= 0")
-    days = sorted(
-        {
-            m.group(0)[1:]
-            for name in store.indices
-            if (m := _DATED_INDEX_RE.search(name)) is not None
-        }
-    )
-    cutoff = days[:-keep_days] if keep_days else days
-    doomed = sorted(
-        name
-        for name in store.indices
-        if (m := _DATED_INDEX_RE.search(name)) is not None and m.group(0)[1:] in cutoff
-    )
-    for name in doomed:
-        del store.indices[name]
-    return doomed
-
-
 # ---------------------------------------------------------------------------
 # Snapshots
 
@@ -652,8 +592,8 @@ def save_store(store: Store, root: str) -> None:
         os.makedirs(path, exist_ok=True)
         with open(os.path.join(path, "docs.jsonl"), "w", encoding="utf-8") as handle:
             for shard in index.shards:
-                for ord_ in sorted(shard.stored):
-                    doc = shard.stored[ord_]
+                for ord_ in sorted(shard.entries):
+                    doc = shard.entries[ord_][3]
                     handle.write(
                         json.dumps(
                             {"id": doc.id, "fields": doc.fields},

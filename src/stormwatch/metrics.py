@@ -9,7 +9,6 @@ rate is meaningless, a missing event count is zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -66,15 +65,6 @@ def metric_spec_from_json(obj: dict) -> MetricSpec:
         detector_field=detector.get("field"),
         bucket_span_seconds=int(obj.get("bucket_span_seconds", 60)),
     )
-
-
-def metric_spec_to_json(spec: MetricSpec) -> dict:
-    return {
-        "indices": spec.indices,
-        "filter": index_store.query_to_json(spec.filter),
-        "detector": {"kind": spec.detector, "field": spec.detector_field},
-        "bucket_span_seconds": spec.bucket_span_seconds,
-    }
 
 
 def build_series(store: Store, spec: MetricSpec, from_ms: int, to_ms: int) -> MetricSeries:
@@ -160,18 +150,3 @@ def series_to_csv(series: MetricSeries) -> str:
         lines.append(f"{series.bucket_start(i)},{rendered},{count}")
     return "\n".join(lines) + "\n"
 
-
-def series_to_jsonl(series: MetricSeries) -> str:
-    lines = []
-    for i, (value, count) in enumerate(zip(series.values, series.sample_counts)):
-        lines.append(
-            json.dumps(
-                {
-                    "bucket_start": series.bucket_start(i),
-                    "value": value,
-                    "sample_count": count,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"

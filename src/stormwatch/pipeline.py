@@ -146,10 +146,6 @@ def load_geo_table(csv_text: str) -> GeoTable:
         raise GeoTableError(str(exc)) from exc
 
 
-def geo_lookup(table: GeoTable, ip: str) -> tuple[float, float, str] | None:
-    return table.lookup(ip)
-
-
 @dataclass(slots=True)
 class GrokStage:
     pattern: patterns.CompiledPattern

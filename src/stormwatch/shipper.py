@@ -1,4 +1,4 @@
-"""File tailer: reads new complete lines, tracks offsets, frames batches.
+"""File tailer: reads new complete lines and tracks offsets.
 
 Delivery is at-least-once: the registry is checkpointed atomically after a
 batch has been handed downstream, so a crash replays at most the records
@@ -25,12 +25,6 @@ class RegistryCorrupt(ShipperError):
     pass
 
 
-class FrameError(ShipperError):
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"frame line {position}: {message}")
-        self.position = position
-
-
 @dataclass(frozen=True)
 class RegistryEntry:
     offset: int
@@ -55,7 +49,6 @@ class RawRecord(NamedTuple):
 @dataclass(frozen=True)
 class Batch:
     records: tuple[RawRecord, ...]
-    batch_id: int
 
 
 def tail_once(
@@ -63,7 +56,6 @@ def tail_once(
     path: str,
     max_records: int,
     beat_name: str = "beat-local",
-    batch_id: int = 0,
 ) -> tuple[Batch, TailRegistry]:
     """Read up to `max_records` new complete lines from `path`.
 
@@ -122,7 +114,7 @@ def tail_once(
         new_registry = TailRegistry(entries)
     else:
         new_registry = registry
-    return Batch(records=tuple(records), batch_id=batch_id), new_registry
+    return Batch(records=tuple(records)), new_registry
 
 
 def checkpoint(registry: TailRegistry, store: str) -> None:
@@ -164,77 +156,8 @@ def load_registry(store: str) -> TailRegistry:
     return TailRegistry(entries)
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
-def frame_batch(batch: Batch) -> bytes:
-    """Serialize a batch as one header line plus one line per record."""
-    lines = [_dump({"batch_id": batch.batch_id, "count": len(batch.records)})]
-    for r in batch.records:
-        lines.append(
-            _dump(
-                {
-                    "line": r.line,
-                    "source": r.source,
-                    "offset": r.offset,
-                    "beat.name": r.beat_name,
-                    "type": r.doc_type,
-                    "kind": r.kind.value,
-                }
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def unframe_batch(payload: bytes) -> Batch:
-    """Inverse of frame_batch; malformed input reports the frame line."""
-    text = payload.decode("utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise FrameError("empty frame", 0)
-
-    def parse(pos: int, line: str) -> dict:
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FrameError(f"bad JSON: {exc}", pos) from exc
-        if not isinstance(obj, dict):
-            raise FrameError("expected an object", pos)
-        return obj
-
-    header = parse(0, lines[0])
-    try:
-        batch_id = int(header["batch_id"])
-        count = int(header["count"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FrameError(f"bad header: {exc}", 0) from exc
-    if count != len(lines) - 1:
-        raise FrameError(f"header count {count} != {len(lines) - 1} records", 0)
-
-    records = []
-    for pos, line in enumerate(lines[1:], start=1):
-        obj = parse(pos, line)
-        try:
-            records.append(
-                RawRecord(
-                    line=obj["line"],
-                    source=obj["source"],
-                    offset=int(obj["offset"]),
-                    beat_name=obj["beat.name"],
-                    doc_type=obj["type"],
-                    kind=LogKind(obj["kind"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FrameError(f"bad record: {exc}", pos) from exc
-    return Batch(records=tuple(records), batch_id=batch_id)
-
-
 class Shipper:
-    """Stateful wrapper owning one registry and a per-shipper batch counter."""
+    """Stateful wrapper owning one registry."""
 
     def __init__(
         self,
@@ -246,18 +169,11 @@ class Shipper:
         self.beat_name = beat_name
         self.batch_size = batch_size
         self.registry = load_registry(registry_path)
-        self._next_batch_id = 0
 
     def poll(self, path: str) -> Batch:
         batch, self.registry = tail_once(
-            self.registry,
-            path,
-            self.batch_size,
-            beat_name=self.beat_name,
-            batch_id=self._next_batch_id,
+            self.registry, path, self.batch_size, beat_name=self.beat_name
         )
-        if batch.records:
-            self._next_batch_id += 1
         return batch
 
     def checkpoint(self) -> None:

@@ -1,9 +1,11 @@
+import io
 import json
+import tempfile
 
 import pytest
 
+from stormwatch import cli, loggen, pipeline, shipper
 from stormwatch import index as index_store
-from stormwatch import loggen, pipeline, shipper
 
 
 @pytest.fixture(scope="session")
@@ -30,28 +32,11 @@ def corpus_paths(corpus_dir: str) -> list[str]:
 
 
 def ingest_corpus(corpus_dir: str, base_date: str = "2024-03-01"):
-    """Library-level ingest: returns (store, counts dict)."""
+    """Library-level ingest through `cli.ingest`: returns (store, counts dict)."""
     config = json.dumps(pipeline.default_pipeline_config(base_date))
     pipe = pipeline.load_pipeline(config)
     store = index_store.Store()
-    registry = shipper.TailRegistry()
-    counts = {"shipped": 0, "indexed": 0, "dead": 0, "dropped": 0}
-    letters = []
-    for path in corpus_paths(corpus_dir):
-        while True:
-            batch, registry = shipper.tail_once(registry, path, 5000)
-            if not batch.records:
-                break
-            for record in batch.records:
-                counts["shipped"] += 1
-                outcome = pipeline.process(pipe, record)
-                if outcome is None:
-                    counts["dropped"] += 1
-                elif isinstance(outcome, pipeline.DeadLetter):
-                    counts["dead"] += 1
-                    letters.append(outcome)
-                else:
-                    index_store.index_document(store, outcome)
-                    counts["indexed"] += 1
-    counts["dead_letters"] = letters
+    with tempfile.TemporaryDirectory() as registry_dir:
+        ship = shipper.Shipper(f"{registry_dir}/registry.json", batch_size=5000)
+        counts = cli.ingest(pipe, store, ship, corpus_paths(corpus_dir), io.StringIO())
     return store, counts

@@ -40,6 +40,10 @@ class TestErfc:
         assert A.erfc(30.0) == 0.0
         assert A.erfc(-30.0) == 2.0
 
+    def test_nan_is_rejected(self):
+        with pytest.raises(ValueError):
+            A.erfc(float("nan"))
+
 
 class TestScoreCalibration:
     def test_z3_anchor(self):

@@ -39,7 +39,13 @@ class TestMetricSpec:
             detector_field="mean_ms",
             bucket_span_seconds=120,
         )
-        assert M.metric_spec_from_json(M.metric_spec_to_json(spec)) == spec
+        obj = {
+            "indices": "storm-backend-metrics-*",
+            "filter": {"term": {"field": "action", "value": "synch.ls"}},
+            "detector": {"kind": "mean", "field": "mean_ms"},
+            "bucket_span_seconds": 120,
+        }
+        assert M.metric_spec_from_json(obj) == spec
 
 
 class TestBuildSeries:

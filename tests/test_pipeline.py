@@ -209,18 +209,18 @@ class TestGeoTable:
 
     def test_single_block_lookup(self):
         table = PL.load_geo_table("93.184.0.0/16,1.5,2.5,edge\n")
-        assert PL.geo_lookup(table, "93.184.216.34") == (1.5, 2.5, "edge")
+        assert table.lookup("93.184.216.34") == (1.5, 2.5, "edge")
 
     def test_private_absent(self):
         table = PL.load_geo_table("10.0.0.0/8,1.0,1.0,wrong\n")
-        assert PL.geo_lookup(table, "10.0.0.1") is None
+        assert table.lookup("10.0.0.1") is None
 
     def test_longest_prefix_wins(self):
         table = PL.load_geo_table(
             "131.154.0.0/16,1.0,1.0,wide\n131.154.128.0/17,2.0,2.0,narrow\n"
         )
-        assert PL.geo_lookup(table, "131.154.200.1")[2] == "narrow"
-        assert PL.geo_lookup(table, "131.154.10.1")[2] == "wide"
+        assert table.lookup("131.154.200.1")[2] == "narrow"
+        assert table.lookup("131.154.10.1")[2] == "wide"
 
     def test_brute_force_oracle_over_random_ips(self):
         table = PL.load_geo_table(PL.default_geo_csv())
@@ -247,4 +247,4 @@ class TestGeoTable:
                     expected = (best.lat, best.lon, best.label)
                 else:
                     expected = None
-            assert PL.geo_lookup(table, ip) == expected, ip
+            assert table.lookup(ip) == expected, ip

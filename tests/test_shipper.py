@@ -1,7 +1,5 @@
 import os
 
-from hypothesis import given, settings, strategies as st
-
 from stormwatch import shipper as SH
 from stormwatch.codecs import LogKind
 
@@ -157,66 +155,3 @@ class TestCheckpoint:
         duplicates = [line for line in set(delivered) if delivered.count(line) > 1]
         assert sorted(duplicates) == ["c", "d"]
 
-
-class TestFraming:
-    def test_empty_batch_is_header_only(self):
-        framed = SH.frame_batch(SH.Batch(records=(), batch_id=7))
-        assert framed.count(b"\n") == 1
-        assert SH.unframe_batch(framed) == SH.Batch(records=(), batch_id=7)
-
-    def test_two_records_frame_three_lines(self, tmp_path):
-        path = heartbeat_path(tmp_path)
-        write(path, "x\ny\n")
-        batch, _ = SH.tail_once(SH.TailRegistry(), path, 10, batch_id=3)
-        framed = SH.frame_batch(batch)
-        assert framed.count(b"\n") == 3
-        assert SH.unframe_batch(framed) == batch
-
-    def test_malformed_frame_reports_position(self):
-        framed = b'{"batch_id":1,"count":2}\n{"line":"x"\nbad\n'
-        try:
-            SH.unframe_batch(framed)
-        except SH.FrameError as err:
-            assert err.position == 1
-            return
-        raise AssertionError("expected FrameError")
-
-    def test_count_mismatch_detected(self):
-        framed = b'{"batch_id":1,"count":3}\n'
-        try:
-            SH.unframe_batch(framed)
-        except SH.FrameError as err:
-            assert err.position == 0
-            return
-        raise AssertionError("expected FrameError")
-
-    @settings(max_examples=120, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.text(
-                    alphabet=st.characters(
-                        blacklist_categories=("Cs",), blacklist_characters="\n\r"
-                    ),
-                    max_size=50,
-                ),
-                st.integers(min_value=0, max_value=2**40),
-            ),
-            max_size=8,
-        ),
-        st.integers(min_value=0, max_value=2**31),
-    )
-    def test_frame_round_trip_property(self, rows, batch_id):
-        records = tuple(
-            SH.RawRecord(
-                line=line,
-                source="/var/log/storm/monitoring.log",
-                offset=offset,
-                beat_name="node-a",
-                doc_type="log",
-                kind=LogKind.MONITORING,
-            )
-            for line, offset in rows
-        )
-        batch = SH.Batch(records=records, batch_id=batch_id)
-        assert SH.unframe_batch(SH.frame_batch(batch)) == batch
