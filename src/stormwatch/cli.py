@@ -15,7 +15,7 @@ import time
 
 from . import anomaly, index as index_store, loggen, metrics, pipeline, shipper
 from .codecs import UnknownLogKind
-from .timeutil import format_iso8601_ms, parse_iso8601_ms
+from .timeutil import format_iso8601_ms, parse_date_ms, parse_iso8601_ms
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,8 +39,6 @@ def _parse_when(text: str) -> int:
         return parse_iso8601_ms(text)
     except ValueError:
         try:
-            from .timeutil import parse_date_ms
-
             return parse_date_ms(text)
         except ValueError:
             raise UsageError(f"not a timestamp: {text!r}") from None

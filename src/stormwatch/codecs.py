@@ -1,10 +1,16 @@
 """Line grammars for the five grid-storage service log files.
 
-Each log kind has a fixed grammar, a parser producing a typed event, and a
-renderer that is its exact inverse: `parse_line(kind, render_line(e))` equals
-`e` for every valid event. Field ranges are validated on both paths, so
-events that violate their invariants (e.g. ok > count) never round-trip
-silently.
+`GRAMMARS` holds the one grammar per log kind, as a grok expression (see
+:mod:`stormwatch.patterns`). `parse_line` matches it and builds a typed
+event; the stock ingest pipeline matches the same expressions. Each kind
+has a renderer that is the exact inverse of its parser:
+`parse_line(kind, render_line(e))` equals `e` for every valid event. Field
+ranges are validated on both paths, so events that violate their
+invariants (e.g. ok > count) never round-trip silently.
+
+The frontend grammar leaves the message body to a `MSG` pattern that each
+user defines: here any text without a quote, in the stock pipeline
+`client=<ip> <text>`.
 
 Heartbeat and backend-metrics lines carry only a time of day; their parser
 takes a :class:`~stormwatch.timeutil.DayContext` that supplies the calendar
@@ -19,6 +25,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
+from . import patterns
 from .timeutil import (
     DayContext,
     format_iso8601_ms,
@@ -168,39 +175,61 @@ KIND_FOR_EVENT = {
 
 _ROTATION_RE = re.compile(r"^(?P<stem>.+?\.log)(?:\.\d+|[.-]\d{4}-\d{2}-\d{2})*$")
 
-_ISO = r"(\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{3}(?:Z|[+-]\d{2}:\d{2}))"
-_TOD = r"(\d{2}:\d{2}:\d{2}\.\d{3})"
-_INT = r"(\d+)"
-_FLOAT = r"([+-]?(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)"
-_TOKEN = r"([^\s']+)"
+_SURL_CLAUSE_RE = re.compile(r" surl='([^']*)'")
+_LIFETIME_RE = re.compile(r"(\d+):(\d{2})\.(\d{2})")
 
-_FRONTEND_RE = re.compile(
-    rf"^{_ISO} \[([^\]\s]+)\] (ERROR|WARNING|INFO|DEBUG): {_TOKEN}"
-    rf" user='([^']*)' fqans='([^']*)'(?: surl='([^']*)')? msg='([^']*)'$"
-)
-_BACKEND_RE = re.compile(
-    rf"^{_ISO} - (FATAL|ERROR|INFO|WARN|DEBUG) \[([^\]\s]+)\]: {_TOKEN}"
-    rf" user='([^']*)' surls='([^']*)' result=(\S+)$"
-)
-_STATS = (
-    rf"\(performed={_INT} ok={_INT} fail={_INT} error={_INT}"
-    rf" avg={_FLOAT} min={_FLOAT} max={_FLOAT}\)"
-)
-_MONITORING_RE = re.compile(
-    rf"^{_ISO} - Round\({_INT}s\): Synch {_STATS} ASynch {_STATS}"
-    rf" AggSynch {_STATS} AggASynch {_STATS}$"
-)
-_HEARTBEAT_RE = re.compile(
-    rf"^{_TOD} - \[#{_INT} lifetime={_INT}:(\d{{2}})\.(\d{{2}})\]"
-    rf" Heap Free:{_INT} SYNCH \[{_INT}\] ASynch \[PTG:{_INT} PTP:{_INT}\]"
-    rf" Last:\( \[#PTG={_INT} OK={_INT} M\.Dur\.={_FLOAT}\]"
-    rf" \[#PTP={_INT} OK={_INT} M\.Dur\.={_FLOAT}\] \)$"
-)
-_BACKEND_METRICS_RE = re.compile(
-    rf"^{_TOD} - {_TOKEN} \[\(m1_count={_INT}, count={_INT}\)"
-    rf" \(max={_FLOAT}, min={_FLOAT}, mean={_FLOAT}, p95={_FLOAT}, p99={_FLOAT}\)"
-    rf" duration_units=milliseconds\]$"
-)
+# Monitoring stat groups in line order: (label, field prefix).
+_ROUNDS = (("Synch", "sync"), ("ASynch", "async"), ("AggSynch", "agg_sync"),
+           ("AggASynch", "agg_async"))
+_ROUND_FIELDS = ("performed", "success", "failed", "errored", "avg_ms", "min_ms", "max_ms")
+
+# The one grammar per kind: grok expressions over the builtin pattern
+# library plus `MSG`, the frontend message, which each user defines.
+GRAMMARS: dict[LogKind, str] = {
+    LogKind.FRONTEND: (
+        "^%{ISO8601_TIMESTAMP:ts:text} \\[%{NOTSPACE:request_id}\\] %{LOGLEVEL:status:level}: "
+        "%{NOTSPACE:action} user='%{DATA:user_dn}' fqans='%{DATA:fqans}'%{DATA:surl_clause} "
+        "msg='%{MSG}'$"
+    ),
+    LogKind.MONITORING: (
+        "^%{ISO8601_TIMESTAMP:ts:text} - Round\\(%{INT:round_seconds:int}s\\): "
+        + " ".join(
+            f"{label} \\(performed=%{{INT:{p}_performed:int}} ok=%{{INT:{p}_success:int}} "
+            f"fail=%{{INT:{p}_failed:int}} error=%{{INT:{p}_errored:int}} "
+            f"avg=%{{NUMBER:{p}_avg_ms:float}} min=%{{NUMBER:{p}_min_ms:float}} "
+            f"max=%{{NUMBER:{p}_max_ms:float}}\\)"
+            for label, p in _ROUNDS
+        )
+        + "$"
+    ),
+    LogKind.BACKEND: (
+        "^%{ISO8601_TIMESTAMP:ts:text} - %{LOGLEVEL:status:level} \\[%{NOTSPACE:request_id}\\]: "
+        "%{NOTSPACE:action} user='%{DATA:user_dn}' surls='%{DATA:surls}' "
+        "result=%{NOTSPACE:result}$"
+    ),
+    LogKind.HEARTBEAT: (
+        "^%{TIME:ts} - \\[#%{INT:seq:int} lifetime=%{NOTSPACE:lifetime}\\] "
+        "Heap Free:%{INT:heap_free_bytes:int} SYNCH \\[%{INT:synch_last_beat:int}\\] "
+        "ASynch \\[PTG:%{INT:ptg_total:int} PTP:%{INT:ptp_total:int}\\] "
+        "Last:\\( \\[#PTG=%{INT:ptg_count:int} OK=%{INT:ptg_ok:int} "
+        "M\\.Dur\\.=%{NUMBER:ptg_mean_duration_ms:float}\\] "
+        "\\[#PTP=%{INT:ptp_count:int} OK=%{INT:ptp_ok:int} "
+        "M\\.Dur\\.=%{NUMBER:ptp_mean_duration_ms:float}\\] \\)$"
+    ),
+    LogKind.BACKEND_METRICS: (
+        "^%{TIME:ts} - %{NOTSPACE:action} \\[\\(m1_count=%{INT:m1_count:int}, "
+        "count=%{INT:total_count:int}\\) \\(max=%{NUMBER:max_ms:float}, "
+        "min=%{NUMBER:min_ms:float}, mean=%{NUMBER:mean_ms:float}, "
+        "p95=%{NUMBER:p95_ms:float}, p99=%{NUMBER:p99_ms:float}\\) "
+        "duration_units=milliseconds\\]$"
+    ),
+}
+
+# A message may not contain a quote; matching that (not `DATA`) keeps a SURL
+# that ends in " msg=" inside the surl clause.
+_MSG_LIBRARY = "QUOTED [^']*\nMSG %{QUOTED:msg}"
+# Compiled on first use: read-only commands never parse a line.
+_COMPILED: dict[LogKind, patterns.CompiledPattern] = {}
 
 
 def classify_file(path: str) -> LogKind:
@@ -418,213 +447,87 @@ def _split_list(text: str, sep: str) -> list[str]:
 def parse_line(kind: LogKind, line: str, day_context: DayContext | None = None) -> Event:
     """Parse one log line of the given kind into its typed event.
 
+    The line must match `GRAMMARS[kind]`, with `MSG` standing for any text
+    without a quote.
     `day_context` supplies the calendar date for kinds whose lines carry
     only a time of day (heartbeat, backend-metrics); when omitted, a fresh
     context anchored at the epoch is used.
     """
+    grammar = _COMPILED.get(kind)
+    if grammar is None:
+        if kind not in GRAMMARS:
+            raise UnknownLogKind(f"unknown log kind: {kind}")
+        library = patterns.load_library(_MSG_LIBRARY)
+        grammar = _COMPILED[kind] = patterns.compile(library, GRAMMARS[kind])
+    f = patterns.match_line(grammar, line)
+    if f is None:
+        raise GrammarMismatch(f"{kind.value} grammar mismatch", line)
     if kind is LogKind.FRONTEND:
-        m = _FRONTEND_RE.match(line)
-        if m is None:
-            raise GrammarMismatch("frontend grammar mismatch", line)
-        ts, rid, level, op, dn, fqans, surl, msg = m.groups()
+        surl = None
+        if f["surl_clause"]:
+            m = _SURL_CLAUSE_RE.fullmatch(f["surl_clause"])
+            if m is None:
+                raise GrammarMismatch("frontend grammar mismatch", line)
+            surl = m.group(1)
         event: Event = FrontendEvent(
-            timestamp=parse_iso8601_ms(ts),
-            level=level,
-            request_id=rid,
-            user_dn=dn,
-            fqans=_split_list(fqans, ","),
-            operation=op,
+            timestamp=parse_iso8601_ms(f["ts"]),
+            level=f["status"],
+            request_id=f["request_id"],
+            user_dn=f["user_dn"],
+            fqans=_split_list(f["fqans"], ","),
+            operation=f["action"],
             surl=surl,
-            message=msg,
+            message=f["msg"],
         )
     elif kind is LogKind.MONITORING:
-        m = _MONITORING_RE.match(line)
-        if m is None:
-            raise GrammarMismatch("monitoring grammar mismatch", line)
-        g = m.groups()
-        stats = [
-            RoundStats(
-                performed=int(g[i]),
-                success=int(g[i + 1]),
-                failed=int(g[i + 2]),
-                errored=int(g[i + 3]),
-                avg_ms=float(g[i + 4]),
-                min_ms=float(g[i + 5]),
-                max_ms=float(g[i + 6]),
-            )
-            for i in (2, 9, 16, 23)
-        ]
+        stats = [RoundStats(*(f[f"{p}_{name}"] for name in _ROUND_FIELDS)) for _, p in _ROUNDS]
         event = MonitoringEvent(
-            timestamp=parse_iso8601_ms(g[0]),
-            round_seconds=int(g[1]),
+            timestamp=parse_iso8601_ms(f["ts"]),
+            round_seconds=f["round_seconds"],
             sync=stats[0],
             async_=stats[1],
             aggregate_sync=stats[2],
             aggregate_async=stats[3],
         )
     elif kind is LogKind.BACKEND:
-        m = _BACKEND_RE.match(line)
-        if m is None:
-            raise GrammarMismatch("backend grammar mismatch", line)
-        ts, level, rid, op, dn, surls, result = m.groups()
         event = BackendEvent(
-            timestamp=parse_iso8601_ms(ts),
-            level=level,
-            request_id=rid,
-            user_dn=dn or None,
-            operation=op,
-            surls=_split_list(surls, ";"),
-            result=result,
+            timestamp=parse_iso8601_ms(f["ts"]),
+            level=f["status"],
+            request_id=f["request_id"],
+            user_dn=f["user_dn"] or None,
+            operation=f["action"],
+            surls=_split_list(f["surls"], ";"),
+            result=f["result"],
         )
     elif kind is LogKind.HEARTBEAT:
-        m = _HEARTBEAT_RE.match(line)
+        m = _LIFETIME_RE.fullmatch(f["lifetime"])
         if m is None:
             raise GrammarMismatch("heartbeat grammar mismatch", line)
-        g = m.groups()
+        hours, minutes, seconds = (int(g) for g in m.groups())
         ctx = day_context if day_context is not None else DayContext(0)
         event = HeartbeatEvent(
-            timestamp=ctx.resolve(parse_time_of_day_ms(g[0])),
-            seq=int(g[1]),
-            lifetime_seconds=int(g[2]) * 3600 + int(g[3]) * 60 + int(g[4]),
-            heap_free_bytes=int(g[5]),
-            synch_last_beat=int(g[6]),
-            ptg_total=int(g[7]),
-            ptp_total=int(g[8]),
-            ptg_last=BunchStats(int(g[9]), int(g[10]), float(g[11])),
-            ptp_last=BunchStats(int(g[12]), int(g[13]), float(g[14])),
-        )
-    elif kind is LogKind.BACKEND_METRICS:
-        m = _BACKEND_METRICS_RE.match(line)
-        if m is None:
-            raise GrammarMismatch("backend-metrics grammar mismatch", line)
-        g = m.groups()
-        ctx = day_context if day_context is not None else DayContext(0)
-        event = BackendMetricsEvent(
-            timestamp=ctx.resolve(parse_time_of_day_ms(g[0])),
-            operation=g[1],
-            m1_count=int(g[2]),
-            total_count=int(g[3]),
-            max_ms=float(g[4]),
-            min_ms=float(g[5]),
-            mean_ms=float(g[6]),
-            p95_ms=float(g[7]),
-            p99_ms=float(g[8]),
+            timestamp=ctx.resolve(parse_time_of_day_ms(f["ts"])),
+            seq=f["seq"],
+            lifetime_seconds=hours * 3600 + minutes * 60 + seconds,
+            heap_free_bytes=f["heap_free_bytes"],
+            synch_last_beat=f["synch_last_beat"],
+            ptg_total=f["ptg_total"],
+            ptp_total=f["ptp_total"],
+            ptg_last=BunchStats(f["ptg_count"], f["ptg_ok"], f["ptg_mean_duration_ms"]),
+            ptp_last=BunchStats(f["ptp_count"], f["ptp_ok"], f["ptp_mean_duration_ms"]),
         )
     else:
-        raise UnknownLogKind(f"unknown log kind: {kind}")
+        ctx = day_context if day_context is not None else DayContext(0)
+        event = BackendMetricsEvent(
+            timestamp=ctx.resolve(parse_time_of_day_ms(f["ts"])),
+            operation=f["action"],
+            m1_count=f["m1_count"],
+            total_count=f["total_count"],
+            max_ms=f["max_ms"],
+            min_ms=f["min_ms"],
+            mean_ms=f["mean_ms"],
+            p95_ms=f["p95_ms"],
+            p99_ms=f["p99_ms"],
+        )
     validate_event(event, line)
     return event
-
-
-# Flat document field names per kind; `event_to_document` emits exactly these.
-DOCUMENT_SCHEMAS: dict[LogKind, tuple[str, ...]] = {
-    LogKind.FRONTEND: (
-        "kind", "@timestamp", "status", "action", "request_id",
-        "user_dn", "fqans", "surl", "msg", "message",
-    ),
-    LogKind.MONITORING: (
-        "kind", "@timestamp", "round_seconds",
-        "sync_performed", "sync_success", "sync_failed", "sync_errored",
-        "sync_avg_ms", "sync_min_ms", "sync_max_ms",
-        "async_performed", "async_success", "async_failed", "async_errored",
-        "async_avg_ms", "async_min_ms", "async_max_ms",
-        "agg_sync_performed", "agg_sync_success", "agg_sync_failed",
-        "agg_sync_errored", "agg_sync_avg_ms", "agg_sync_min_ms",
-        "agg_sync_max_ms",
-        "agg_async_performed", "agg_async_success", "agg_async_failed",
-        "agg_async_errored", "agg_async_avg_ms", "agg_async_min_ms",
-        "agg_async_max_ms",
-        "message",
-    ),
-    LogKind.BACKEND: (
-        "kind", "@timestamp", "status", "action", "request_id",
-        "user_dn", "surls", "result", "message",
-    ),
-    LogKind.HEARTBEAT: (
-        "kind", "@timestamp", "seq", "lifetime_seconds", "heap_free_bytes",
-        "synch_last_beat", "ptg_total", "ptp_total",
-        "ptg_count", "ptg_ok", "ptg_mean_duration_ms",
-        "ptp_count", "ptp_ok", "ptp_mean_duration_ms",
-        "message",
-    ),
-    LogKind.BACKEND_METRICS: (
-        "kind", "@timestamp", "action", "m1_count", "total_count",
-        "max_ms", "min_ms", "mean_ms", "p95_ms", "p99_ms", "message",
-    ),
-}
-
-
-def _stats_fields(prefix: str, s: RoundStats) -> dict[str, object]:
-    return {
-        f"{prefix}_performed": s.performed,
-        f"{prefix}_success": s.success,
-        f"{prefix}_failed": s.failed,
-        f"{prefix}_errored": s.errored,
-        f"{prefix}_avg_ms": s.avg_ms,
-        f"{prefix}_min_ms": s.min_ms,
-        f"{prefix}_max_ms": s.max_ms,
-    }
-
-
-def event_to_document(event: Event, raw: str | None = None) -> dict[str, object]:
-    """Flatten an event into its documented field map.
-
-    The `message` field holds the raw line (re-rendered when not supplied).
-    Every schema field is present; optional values are None.
-    """
-    kind = KIND_FOR_EVENT[type(event)]
-    message = raw if raw is not None else render_line(event)
-    doc: dict[str, object] = {"kind": kind.value, "@timestamp": event.timestamp}
-    if isinstance(event, FrontendEvent):
-        doc.update(
-            status=event.level,
-            action=event.operation,
-            request_id=event.request_id,
-            user_dn=event.user_dn,
-            fqans=",".join(event.fqans),
-            surl=event.surl,
-            msg=event.message,
-        )
-    elif isinstance(event, MonitoringEvent):
-        doc["round_seconds"] = event.round_seconds
-        doc.update(_stats_fields("sync", event.sync))
-        doc.update(_stats_fields("async", event.async_))
-        doc.update(_stats_fields("agg_sync", event.aggregate_sync))
-        doc.update(_stats_fields("agg_async", event.aggregate_async))
-    elif isinstance(event, BackendEvent):
-        doc.update(
-            status=event.level,
-            action=event.operation,
-            request_id=event.request_id,
-            user_dn=event.user_dn,
-            surls=";".join(event.surls),
-            result=event.result,
-        )
-    elif isinstance(event, HeartbeatEvent):
-        doc.update(
-            seq=event.seq,
-            lifetime_seconds=event.lifetime_seconds,
-            heap_free_bytes=event.heap_free_bytes,
-            synch_last_beat=event.synch_last_beat,
-            ptg_total=event.ptg_total,
-            ptp_total=event.ptp_total,
-            ptg_count=event.ptg_last.count,
-            ptg_ok=event.ptg_last.ok,
-            ptg_mean_duration_ms=event.ptg_last.mean_duration_ms,
-            ptp_count=event.ptp_last.count,
-            ptp_ok=event.ptp_last.ok,
-            ptp_mean_duration_ms=event.ptp_last.mean_duration_ms,
-        )
-    elif isinstance(event, BackendMetricsEvent):
-        doc.update(
-            action=event.operation,
-            m1_count=event.m1_count,
-            total_count=event.total_count,
-            max_ms=event.max_ms,
-            min_ms=event.min_ms,
-            mean_ms=event.mean_ms,
-            p95_ms=event.p95_ms,
-            p99_ms=event.p99_ms,
-        )
-    doc["message"] = message
-    return doc

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import random
+import re
 from dataclasses import dataclass, field
 
 from .codecs import (
@@ -31,9 +32,10 @@ from .codecs import (
     MonitoringEvent,
     RoundStats,
     FILENAME_FOR_KIND,
+    parse_line,
     render_line,
 )
-from .timeutil import parse_iso8601_ms
+from .timeutil import DayContext, day_start_ms, parse_iso8601_ms
 
 # 2024-03-01T00:00:00Z; a fixed origin keeps default corpora reproducible.
 DEFAULT_START_MS = parse_iso8601_ms("2024-03-01T00:00:00.000Z")
@@ -599,19 +601,16 @@ class ConsistencyReport:
         return not self.issues
 
 
-_TOOK_RE_SOURCE = r"^client=(\S+) took=([^m]+)ms$"
+_TOOK_RE = re.compile(r"^client=(\S+) took=([^m]+)ms$")
 
 
 def _parse_generated_frontend(events) -> list[_Request]:
-    import re as _re
-
-    took = _re.compile(_TOOK_RE_SOURCE)
     out = []
     level_to_outcome = {v: k for k, v in _FE_LEVEL.items()}
     for event in events:
         if event.level == "DEBUG":
             continue
-        m = took.match(event.message)
+        m = _TOOK_RE.match(event.message)
         if m is None:
             continue
         out.append(
@@ -638,9 +637,6 @@ def verify_consistency(out_dir: str) -> ConsistencyReport:
     aggregates equal a recomputation from the frontend request stream, which
     in turn must match truth.json per minute.
     """
-    from .codecs import parse_line
-    from .timeutil import DayContext, day_start_ms
-
     truth = load_truth(out_dir)
     start = truth["start_ms"]
     issues: list[str] = []

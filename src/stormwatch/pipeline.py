@@ -13,10 +13,11 @@ from __future__ import annotations
 import hashlib
 import ipaddress
 import json
+import os
 from dataclasses import dataclass, field
 
 from . import patterns
-from .codecs import LogKind
+from .codecs import GRAMMARS, LogKind
 from .shipper import RawRecord
 from .timeutil import (
     DayContext,
@@ -140,10 +141,7 @@ def load_geo_table(csv_text: str) -> GeoTable:
                 label=parts[3].strip(),
             )
         )
-    try:
-        return GeoTable(rows)
-    except GeoTableError as exc:
-        raise GeoTableError(str(exc)) from exc
+    return GeoTable(rows)
 
 
 @dataclass(slots=True)
@@ -402,64 +400,6 @@ def dead_letter_json(letter: DeadLetter) -> str:
     )
 
 
-_STATS_GROUP = " ".join(
-    [
-        "\\(performed=%{{INT:{p}_performed:int}}",
-        "ok=%{{INT:{p}_success:int}}",
-        "fail=%{{INT:{p}_failed:int}}",
-        "error=%{{INT:{p}_errored:int}}",
-        "avg=%{{NUMBER:{p}_avg_ms:float}}",
-        "min=%{{NUMBER:{p}_min_ms:float}}",
-        "max=%{{NUMBER:{p}_max_ms:float}}\\)",
-    ]
-)
-
-
-def _monitoring_expr() -> str:
-    groups = " ".join(
-        f"{label} {_STATS_GROUP.format(p=prefix)}"
-        for label, prefix in (
-            ("Synch", "sync"),
-            ("ASynch", "async"),
-            ("AggSynch", "agg_sync"),
-            ("AggASynch", "agg_async"),
-        )
-    )
-    return (
-        "^%{ISO8601_TIMESTAMP:ts:text} - Round\\(%{INT:round_seconds:int}s\\): "
-        + groups
-        + "$"
-    )
-
-
-FRONTEND_EXPR = (
-    "^%{ISO8601_TIMESTAMP:ts:text} \\[%{NOTSPACE:request_id}\\] %{LOGLEVEL:status:level}: "
-    "%{NOTSPACE:action} user='%{DATA:user_dn}' fqans='%{DATA:fqans}'%{DATA:surl_clause} "
-    "msg='client=%{IP:client_ip} %{DATA:msg}'$"
-)
-BACKEND_EXPR = (
-    "^%{ISO8601_TIMESTAMP:ts:text} - %{LOGLEVEL:status:level} \\[%{NOTSPACE:request_id}\\]: "
-    "%{NOTSPACE:action} user='%{DATA:user_dn}' surls='%{DATA:surls}' "
-    "result=%{NOTSPACE:result}$"
-)
-HEARTBEAT_EXPR = (
-    "^%{TIME:ts} - \\[#%{INT:seq:int} lifetime=%{NOTSPACE:lifetime}\\] "
-    "Heap Free:%{INT:heap_free_bytes:int} SYNCH \\[%{INT:synch_last_beat:int}\\] "
-    "ASynch \\[PTG:%{INT:ptg_total:int} PTP:%{INT:ptp_total:int}\\] "
-    "Last:\\( \\[#PTG=%{INT:ptg_count:int} OK=%{INT:ptg_ok:int} "
-    "M\\.Dur\\.=%{NUMBER:ptg_mean_duration_ms:float}\\] "
-    "\\[#PTP=%{INT:ptp_count:int} OK=%{INT:ptp_ok:int} "
-    "M\\.Dur\\.=%{NUMBER:ptp_mean_duration_ms:float}\\] \\)$"
-)
-BACKEND_METRICS_EXPR = (
-    "^%{TIME:ts} - %{NOTSPACE:action} \\[\\(m1_count=%{INT:m1_count:int}, "
-    "count=%{INT:total_count:int}\\) \\(max=%{NUMBER:max_ms:float}, "
-    "min=%{NUMBER:min_ms:float}, mean=%{NUMBER:mean_ms:float}, "
-    "p95=%{NUMBER:p95_ms:float}, p99=%{NUMBER:p99_ms:float}\\) "
-    "duration_units=milliseconds\\]$"
-)
-
-
 def default_pipeline_config(base_date: str = "1970-01-01") -> dict:
     """The stock five-kind routing config.
 
@@ -476,28 +416,30 @@ def default_pipeline_config(base_date: str = "1970-01-01") -> dict:
         }
     ]
     return {
+        # The synthetic corpus's message convention, which the geo stage keys on.
+        "patterns": "MSG client=%{IP:client_ip} %{DATA:msg}\n",
         "routes": {
             LogKind.FRONTEND.value: [
-                {"type": "grok", "pattern": FRONTEND_EXPR},
+                {"type": "grok", "pattern": GRAMMARS[LogKind.FRONTEND]},
                 *iso_date,
                 {"type": "geo", "source": "client_ip"},
                 {"type": "mutate", "remove": ["surl_clause"]},
                 {"type": "drop", "field": "status", "equals": "DEBUG"},
             ],
             LogKind.MONITORING.value: [
-                {"type": "grok", "pattern": _monitoring_expr()},
+                {"type": "grok", "pattern": GRAMMARS[LogKind.MONITORING]},
                 *iso_date,
             ],
             LogKind.BACKEND.value: [
-                {"type": "grok", "pattern": BACKEND_EXPR},
+                {"type": "grok", "pattern": GRAMMARS[LogKind.BACKEND]},
                 *iso_date,
             ],
             LogKind.HEARTBEAT.value: [
-                {"type": "grok", "pattern": HEARTBEAT_EXPR},
+                {"type": "grok", "pattern": GRAMMARS[LogKind.HEARTBEAT]},
                 *tod_date,
             ],
             LogKind.BACKEND_METRICS.value: [
-                {"type": "grok", "pattern": BACKEND_METRICS_EXPR},
+                {"type": "grok", "pattern": GRAMMARS[LogKind.BACKEND_METRICS]},
                 *tod_date,
             ],
         }
@@ -505,8 +447,6 @@ def default_pipeline_config(base_date: str = "1970-01-01") -> dict:
 
 
 def default_geo_csv_path() -> str:
-    import os
-
     return os.path.join(os.path.dirname(__file__), "data", "geo_sample.csv")
 
 

@@ -104,6 +104,32 @@ class TestInvariants:
         with pytest.raises(C.FieldRange):
             C.render_line(fe)
 
+    def test_grok_typed_values_are_judged_by_validation(self):
+        line = TestHeartbeatFidelity.LINE
+        with pytest.raises(C.FieldRange):  # signed INT parses; a negative seq is invalid
+            C.parse_line(C.LogKind.HEARTBEAT, line.replace("[#1 ", "[#-1 "))
+        with pytest.raises(C.GrammarMismatch):  # outside int64
+            C.parse_line(C.LogKind.HEARTBEAT, line.replace("[#1 ", f"[#{2**63} "))
+        with pytest.raises(C.GrammarMismatch):  # non-finite float
+            C.parse_line(C.LogKind.HEARTBEAT, line.replace("M.Dur.=150.0", "M.Dur.=1e999"))
+        frontend = "2024-03-01T12:00:00.123Z [r1] INFO: op user='u' fqans='' msg='m'"
+        with pytest.raises(C.FieldRange):  # DATA takes a quote; a quoted DN is invalid
+            C.parse_line(C.LogKind.FRONTEND, frontend.replace("user='u'", "user='u'x'"))
+        with pytest.raises(C.FieldRange):  # NOTSPACE takes a quote; the operation may not
+            C.parse_line(C.LogKind.FRONTEND, frontend.replace(" op ", " o'p "))
+        # NOTSPACE takes a ']', so a request id may end in one.
+        event = C.parse_line(C.LogKind.FRONTEND, frontend.replace("[r1]", "[a]]"))
+        assert event.request_id == "a]"
+        assert C.render_line(event) == frontend.replace("[r1]", "[a]]")
+
+    def test_surl_clause_and_lifetime_text_keep_their_shapes(self):
+        frontend = "2024-03-01T12:00:00.123Z [r] INFO: op user='' fqans='' junk msg='m'"
+        with pytest.raises(C.GrammarMismatch):
+            C.parse_line(C.LogKind.FRONTEND, frontend)
+        heartbeat = TestHeartbeatFidelity.LINE.replace("lifetime=0:01.00", "lifetime=1m")
+        with pytest.raises(C.GrammarMismatch):
+            C.parse_line(C.LogKind.HEARTBEAT, heartbeat)
+
     def test_garbage_line_is_grammar_mismatch(self):
         with pytest.raises(C.GrammarMismatch) as err:
             C.parse_line(C.LogKind.BACKEND, "garbage")
@@ -134,6 +160,10 @@ class TestRoundTrip:
         with_empty = dataclasses.replace(base, surl="")
         assert roundtrip(base).surl is None
         assert roundtrip(with_empty).surl == ""
+
+    def test_frontend_surl_ending_like_the_msg_clause(self):
+        event = C.FrontendEvent(5, "INFO", "rid", "", [], "op", "srm://a msg=", "m")
+        assert roundtrip(event) == event
 
 
 @settings(max_examples=150, deadline=None)
@@ -182,37 +212,6 @@ class TestMidnightRollover:
             ctx,
         )
         assert first.timestamp - second.timestamp == 60_000
-
-
-class TestDocuments:
-    def test_backend_document_fields(self):
-        event = C.BackendEvent(
-            1709294400500, "INFO", "a1", "/CN=u", "srmReleaseFiles",
-            ["srm://s/a"], "SRM_SUCCESS",
-        )
-        doc = C.event_to_document(event)
-        assert doc["status"] == "INFO"
-        assert doc["action"] == "srmReleaseFiles"
-        assert doc["message"] == C.render_line(event)
-
-    def test_heartbeat_document_has_heap_field(self):
-        event = C.HeartbeatEvent(
-            0, 1, 60, 123, 0, 0, 0, C.BunchStats(0, 0, 0.0), C.BunchStats(0, 0, 0.0)
-        )
-        assert C.event_to_document(event)["heap_free_bytes"] == 123
-
-    def test_raw_line_is_kept_when_supplied(self):
-        event = C.BackendEvent(0, "INFO", "r", None, "op", [], "R")
-        doc = C.event_to_document(event, raw="the raw line")
-        assert doc["message"] == "the raw line"
-
-    @pytest.mark.parametrize("kind", list(C.LogKind), ids=lambda k: k.value)
-    def test_schema_size_matches_enumeration(self, kind):
-        rng = random.Random(99)
-        schema = C.DOCUMENT_SCHEMAS[kind]
-        for _ in range(50):
-            doc = C.event_to_document(EVENT_GENERATORS[kind](rng))
-            assert tuple(doc) == schema
 
 
 def test_generated_stream_counters_monotone(small_corpus):

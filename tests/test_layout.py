@@ -18,9 +18,6 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 EXEMPT = {
     # The generator's self-check: tests compare generated corpora against it.
     "loggen.verify_consistency",
-    # The codecs' own document schema. ROADMAP item 4 replaces it with a
-    # differential test of the stock pipeline against `codecs.parse_line`.
-    "codecs.event_to_document",
 }
 
 
