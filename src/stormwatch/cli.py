@@ -140,12 +140,11 @@ def cmd_ingest(args) -> int:
     pipe = pipeline.load_pipeline(config_text)
 
     os.makedirs(args.store, exist_ok=True)
-    store = index_store.load_store(args.store)
+    store = index_store.Store(root=args.store)
     registry_path = args.registry or os.path.join(args.store, "registry.json")
     dead_path = args.dead_letters or os.path.join(args.store, "dead_letters.jsonl")
     ship = shipper.Shipper(registry_path, beat_name=args.beat_name, batch_size=args.batch_size)
 
-    before = set(store.indices)
     started = time.perf_counter()
     with open(dead_path, "a", encoding="utf-8") as dead_file:
         try:
@@ -153,11 +152,16 @@ def cmd_ingest(args) -> int:
         except UnknownLogKind as exc:
             raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
+    # The store holds only the indices this run wrote to; until the save,
+    # the manifests on disk are those from before the run.
+    created = sorted(
+        name for name in store.indices
+        if not os.path.isfile(os.path.join(args.store, name, "manifest.json"))
+    )
     index_store.save_store(store, args.store)
     shipped, indexed = counts["shipped"], counts["indexed"]
     dead, dropped = counts["dead"], counts["dropped"]
 
-    created = sorted(set(store.indices) - before)
     rate = shipped / elapsed if elapsed > 0 else 0.0
     summary = {
         "shipped": shipped,
@@ -191,9 +195,10 @@ _QUERY_CSV_COLUMNS = ("id", "@timestamp", "kind", "status", "action", "message")
 
 
 def cmd_query(args) -> int:
-    store = index_store.load_store(args.store, args.index)
+    time_range = _time_range(args)
+    store = index_store.load_store(args.store, args.index, time_range)
     q = _load_query(args.q)
-    docs = index_store.search(store, args.index, q, _time_range(args))
+    docs = index_store.search(store, args.index, q, time_range)
     if args.format == "json-lines":
         for doc in docs:
             print(json.dumps({"id": doc.id, "index": doc.index_name, "fields": doc.fields},
@@ -224,13 +229,14 @@ def _agg_rows(agg, result) -> tuple[list[str], list[list]]:
 
 
 def cmd_agg(args) -> int:
-    store = index_store.load_store(args.store, args.index)
+    time_range = _time_range(args)
+    store = index_store.load_store(args.store, args.index, time_range)
     q = _load_query(args.q)
     try:
         agg = index_store.aggregation_from_json(json.loads(args.agg))
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad aggregation: {exc}") from exc
-    result = index_store.aggregate(store, args.index, q, agg, _time_range(args))
+    result = index_store.aggregate(store, args.index, q, agg, time_range)
     header, rows = _agg_rows(agg, result)
     if args.format == "json-lines":
         for row in rows:
@@ -256,9 +262,9 @@ def _report_csv_jsonl(out_dir: str, name: str, header: list[str], rows: list[lis
 
 
 def cmd_report(args) -> int:
-    store = index_store.load_store(args.store)
-    os.makedirs(args.out, exist_ok=True)
     time_range = _time_range(args)
+    store = index_store.load_store(args.store, time_range=time_range)
+    os.makedirs(args.out, exist_ok=True)
     match_all = index_store.MatchAll()
 
     gauge = index_store.aggregate(
@@ -306,13 +312,15 @@ def _load_job(path: str) -> dict:
     return job
 
 
-def _job_series(store, job) -> metrics.MetricSeries:
+def _job_series(root: str, job) -> metrics.MetricSeries:
+    """Load the job's indices over its [from, to) and build its series."""
     try:
         spec = metrics.metric_spec_from_json(job["metric"])
         from_ms = _parse_when(str(job["from"]))
         to_ms = _parse_when(str(job["to"]))
     except (KeyError, ValueError, metrics.MetricError) as exc:
         raise UsageError(f"bad job config: {exc}") from exc
+    store = index_store.load_store(root, spec.indices, (from_ms, to_ms))
     series = metrics.build_series(store, spec, from_ms, to_ms)
     policy = job.get("gap_policy", "skip")
     try:
@@ -338,8 +346,7 @@ def _job_params(job) -> anomaly.DetectorParams:
 
 def cmd_ml_detect(args) -> int:
     job = _load_job(args.job)
-    store = index_store.load_store(args.store, job["metric"].get("indices", "*"))
-    series = _job_series(store, job)
+    series = _job_series(args.store, job)
     result = anomaly.detect(series, _job_params(job))
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "series.csv"), metrics.series_to_csv(series))
@@ -369,8 +376,7 @@ def cmd_ml_forecast(args) -> int:
     if args.horizon < 1:
         raise UsageError("forecast horizon must be >= 1")
     job = _load_job(args.job)
-    store = index_store.load_store(args.store, job["metric"].get("indices", "*"))
-    series = _job_series(store, job)
+    series = _job_series(args.store, job)
     result = anomaly.detect(series, _job_params(job))
     if result.model.in_warmup:
         raise UsageError("not enough data to train past warmup")

@@ -10,6 +10,13 @@ AST of term/boolean/range nodes; results are exact and sorted by
 (@timestamp, id). Aggregations recompute from the matching documents, so
 they are exact at this scale. Snapshots persist one directory per index: a
 manifest plus newline-delimited documents.
+
+A dated index holds only documents of its own UTC day (`index_document`
+enforces it), so a time range prunes whole days: `load_store` skips the days
+a range cannot match and so does the search over a loaded store. A store
+that knows its `root` loads an index from disk the first time a document is
+routed to it, so ingest reads only the days it writes, and a save removes
+only the index directories that `delete_index` dropped.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import zlib
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from operator import itemgetter
 
 from .pipeline import Document
@@ -398,34 +406,62 @@ class TimeIndex:
 
 
 class Store:
-    """A collection of day-partitioned indices, optionally disk-backed."""
+    """A collection of day-partitioned indices, optionally disk-backed.
 
-    def __init__(self, shard_count: int = 2) -> None:
+    With a `root`, an index missing from `indices` is loaded from that
+    snapshot on its first write, unless this process deleted it (`deleted`).
+    """
+
+    def __init__(self, shard_count: int = 2, root: str | None = None) -> None:
         self.shard_count = shard_count
+        self.root = root
         self.indices: dict[str, TimeIndex] = {}
+        self.deleted: set[str] = set()
 
 
 _DAY_BOUNDS_CACHE: dict[str, tuple[int, int] | None] = {}
 
 
-def _check_day(index_name: str, timestamp: int) -> bool:
-    bounds = _DAY_BOUNDS_CACHE.get(index_name, -1)
-    if bounds == -1:
-        m = _DATED_INDEX_RE.search(index_name)
-        if m is None:
-            bounds = None
-        else:
-            from datetime import datetime, timezone
-
-            day = datetime(
-                int(m.group(1)), int(m.group(2)), int(m.group(3)), tzinfo=timezone.utc
-            )
+def _day_bounds(index_name: str) -> tuple[int, int] | None:
+    """The [start, end) milliseconds of the UTC day a `-YYYY.MM.DD` name
+    carries, or None for a name without a valid date suffix."""
+    try:
+        return _DAY_BOUNDS_CACHE[index_name]
+    except KeyError:
+        pass
+    bounds = None
+    m = _DATED_INDEX_RE.search(index_name)
+    if m is not None:
+        try:
+            day = datetime(int(m[1]), int(m[2]), int(m[3]), tzinfo=timezone.utc)
             start = int(day.timestamp()) * 1000
             bounds = (start, start + 86_400_000)
-        _DAY_BOUNDS_CACHE[index_name] = bounds
+        except ValueError:  # not a calendar day, such as 2024.02.30
+            pass
+    _DAY_BOUNDS_CACHE[index_name] = bounds
+    return bounds
+
+
+def _check_day(index_name: str, timestamp: int) -> bool:
+    bounds = _day_bounds(index_name)
+    return bounds is None or bounds[0] <= timestamp < bounds[1]
+
+
+def _may_match(
+    index_name: str, time_range: tuple[int | None, int | None] | None
+) -> bool:
+    """False only when the name's day lies outside the half-open range.
+
+    A None bound is open, and a NaN bound compares False and so prunes
+    nothing, as in `Range`.
+    """
+    if time_range is None:
+        return True
+    bounds = _day_bounds(index_name)
     if bounds is None:
         return True
-    return bounds[0] <= timestamp < bounds[1]
+    lo, hi = time_range
+    return not ((lo is not None and lo >= bounds[1]) or (hi is not None and hi <= bounds[0]))
 
 
 def index_document(store: Store, doc: Document) -> None:
@@ -439,7 +475,12 @@ def index_document(store: Store, doc: Document) -> None:
         )
     index = store.indices.get(doc.index_name)
     if index is None:
-        index = store.indices[doc.index_name] = TimeIndex(doc.index_name, store.shard_count)
+        name = doc.index_name
+        if store.root is not None and name not in store.deleted:
+            index = load_store(store.root, name).indices.get(name)
+        if index is None:
+            index = TimeIndex(name, store.shard_count)
+        store.indices[name] = index
     index.upsert(doc)
 
 
@@ -460,13 +501,18 @@ def _matches(
     q: Query,
     time_range: tuple[int | None, int | None] | None,
 ) -> Iterator[tuple[Shard, set[int]]]:
-    """Each shard of the matching indices with the ordinals it matches."""
+    """Each shard of the matching indices with the ordinals it matches.
+
+    Indices whose day lies outside `time_range` are skipped unread.
+    """
     if time_range is not None:
         lo, hi = time_range
         clauses: list[Query] = [q]
         clauses.append(Range("@timestamp", min=lo, max=hi, include_max=False))
         q = And(tuple(clauses))
     for name in match_index_pattern(indices, list(store.indices)):
+        if not _may_match(name, time_range):
+            continue
         for shard in store.indices[name].shards:
             yield shard, shard.evaluate(q)
 
@@ -567,6 +613,7 @@ def delete_index(store: Store, name: str) -> None:
     if name not in store.indices:
         raise UnknownIndex(f"no such index: {name}")
     del store.indices[name]
+    store.deleted.add(name)
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +623,14 @@ def delete_index(store: Store, name: str) -> None:
 def save_store(store: Store, root: str) -> None:
     """Write every index as <root>/<name>/{manifest.json,docs.jsonl}.
 
-    Indices untouched since load are skipped; directories for indices no
-    longer in the store are removed.
+    Indices untouched since load are skipped. The only directories removed
+    are those of indices `delete_index` dropped from this store, so saving a
+    store that holds only some of the snapshot's indices keeps the others.
     """
     os.makedirs(root, exist_ok=True)
-    wanted = set(store.indices)
-    for entry in os.listdir(root):
-        path = os.path.join(root, entry)
-        if os.path.isdir(path) and entry not in wanted:
+    for name in store.deleted - store.indices.keys():
+        path = os.path.join(root, name)
+        if os.path.isdir(path):
             shutil.rmtree(path)
     for name, index in store.indices.items():
         path = os.path.join(root, name)
@@ -612,21 +659,29 @@ def save_store(store: Store, root: str) -> None:
         index.dirty = False
 
 
-def load_store(root: str, pattern: str | None = None) -> Store:
-    """Load a snapshot; `pattern` restricts which indices are materialized."""
-    store = Store()
+def load_store(
+    root: str,
+    pattern: str | None = None,
+    time_range: tuple[int | None, int | None] | None = None,
+) -> Store:
+    """Load a snapshot's indices that match `pattern` and may hold documents
+    in the half-open `time_range` (see `_may_match`); either may be None.
+
+    The store keeps `root`, so a later write to an index left on disk loads
+    that index first.
+    """
+    store = Store(root=root)
     if not os.path.isdir(root):
         return store
-    names = [
-        entry
-        for entry in sorted(os.listdir(root))
-        if os.path.isfile(os.path.join(root, entry, "manifest.json"))
-    ]
+    names = sorted(os.listdir(root))
     if pattern is not None:
         names = match_index_pattern(pattern, names)
     for name in names:
         path = os.path.join(root, name)
-        with open(os.path.join(path, "manifest.json"), encoding="utf-8") as handle:
+        manifest_path = os.path.join(path, "manifest.json")
+        if not (_may_match(name, time_range) and os.path.isfile(manifest_path)):
+            continue
+        with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
         index = TimeIndex(name, int(manifest["shard_count"]))
         store.indices[name] = index

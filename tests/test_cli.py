@@ -5,7 +5,9 @@ import pytest
 
 from conftest import corpus_paths
 from stormwatch import index as IX
+from stormwatch import loggen
 from stormwatch.cli import main
+from stormwatch.timeutil import parse_date_ms
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,74 @@ class TestIngestCommand:
         store = IX.load_store(store_dir)
         total_docs = sum(ix.doc_count for ix in store.indices.values())
         assert total_docs == first["indexed"]
+
+
+    def test_multi_day_ingest_writes_only_the_days_it_reads(self, tmp_path, capsys):
+        store_dir = str(tmp_path / "store")
+        days = ["2024-03-01", "2024-03-02", "2024-03-03"]
+        dirs = []
+        for i, day in enumerate(days):
+            out = str(tmp_path / f"day{i}")
+            workload = loggen.WorkloadSpec(
+                seed=40 + i, duration_seconds=60, start_ms=parse_date_ms(day)
+            )
+            loggen.generate(workload, [], out)
+            dirs.append(out)
+        # The newest day's files hold back their second half for an append.
+        held = {}
+        for path in corpus_paths(dirs[-1]):
+            with open(path, encoding="utf-8", newline="") as handle:
+                lines = handle.readlines()
+            keep = len(lines) - len(lines) // 2
+            held[path] = lines[keep:]
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(lines[:keep])
+
+        def ingest(i, *extra):
+            code, out, _ = run(capsys, "ingest", "--paths", *corpus_paths(dirs[i]),
+                               "--store", store_dir, "--base-date", days[i],
+                               "--format", "json-lines", *extra)
+            assert code == 0
+            return json.loads(out)
+
+        def day_names(i):
+            suffix = days[i].replace("-", ".")
+            return sorted(n for n in os.listdir(store_dir) if n.endswith(suffix))
+
+        for i in range(3):
+            summary = ingest(i)
+            assert summary["indices_created"] == day_names(i)
+            assert len(summary["indices_created"]) == 5
+
+        def older_files():
+            found = {}
+            for i in (0, 1):
+                for name in day_names(i):
+                    for leaf in ("manifest.json", "docs.jsonl"):
+                        path = os.path.join(store_dir, name, leaf)
+                        with open(path, "rb") as handle:
+                            found[path] = (handle.read(), os.stat(path).st_mtime_ns)
+            return found
+
+        before = older_files()
+        for path, lines in held.items():
+            with open(path, "a", encoding="utf-8", newline="") as handle:
+                handle.writelines(lines)
+        appended = ingest(2)
+        assert appended["shipped"] == sum(len(lines) for lines in held.values())
+        assert appended["indices_created"] == []
+        assert older_files() == before
+        noop = ingest(2)
+        assert (noop["shipped"], noop["indices_created"]) == (0, [])
+
+        counts = {n: ix.doc_count for n, ix in IX.load_store(store_dir).indices.items()}
+        assert len(counts) == 15
+        for i in range(3):
+            replay = ingest(i, "--registry", str(tmp_path / f"fresh-registry-{i}.json"))
+            assert replay["shipped"] > 0
+            assert replay["indices_created"] == []
+        replayed = {n: ix.doc_count for n, ix in IX.load_store(store_dir).indices.items()}
+        assert replayed == counts
 
 
 class TestQueryAndAgg:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -355,3 +356,130 @@ class TestSnapshot:
         IX.delete_index(store, f"storm-backend-{DAY}")
         IX.save_store(store, str(tmp_path))
         assert IX.load_store(str(tmp_path)).indices == {}
+
+    def test_save_after_partial_load_keeps_other_indices(self, store_and_docs, tmp_path):
+        store, docs = store_and_docs
+        frontend = Document(
+            id="fe1", fields={"@timestamp": BASE_TS, "kind": "frontend"},
+            index_name=f"storm-frontend-{DAY}",
+        )
+        IX.index_document(store, frontend)
+        IX.save_store(store, str(tmp_path))
+        partial = IX.load_store(str(tmp_path), "storm-frontend-*")
+        assert list(partial.indices) == [f"storm-frontend-{DAY}"]
+        IX.index_document(partial, Document(
+            id="fe2", fields={"@timestamp": BASE_TS + 1, "kind": "frontend"},
+            index_name=f"storm-frontend-{DAY}",
+        ))
+        IX.save_store(partial, str(tmp_path))
+        reloaded = IX.load_store(str(tmp_path))
+        assert reloaded.indices[f"storm-backend-{DAY}"].doc_count == len(docs)
+        assert reloaded.indices[f"storm-frontend-{DAY}"].doc_count == 2
+
+    def test_first_write_loads_the_index_from_disk(self, store_and_docs, tmp_path):
+        store, docs = store_and_docs
+        IX.save_store(store, str(tmp_path))
+        for fresh in (IX.Store(root=str(tmp_path)), IX.load_store(str(tmp_path), "storm-x-*")):
+            IX.index_document(fresh, make_doc(0, status="ERROR"))
+            IX.index_document(fresh, make_doc(len(docs), status="ERROR"))
+            IX.save_store(fresh, str(tmp_path))
+            reloaded = IX.load_store(str(tmp_path))
+            assert reloaded.indices[f"storm-backend-{DAY}"].doc_count == len(docs) + 1
+            hits = IX.search(reloaded, "storm-*", IX.Term("id", docs[0].id))
+            assert [d.fields["status"] for d in hits] == ["ERROR"]
+
+    def test_deleted_index_is_not_reopened_by_a_write(self, store_and_docs, tmp_path):
+        store, _ = store_and_docs
+        IX.save_store(store, str(tmp_path))
+        reloaded = IX.load_store(str(tmp_path))
+        IX.delete_index(reloaded, f"storm-backend-{DAY}")
+        IX.index_document(reloaded, make_doc(1))
+        assert reloaded.indices[f"storm-backend-{DAY}"].doc_count == 1
+        IX.save_store(reloaded, str(tmp_path))
+        assert IX.load_store(str(tmp_path)).indices[f"storm-backend-{DAY}"].doc_count == 1
+
+
+DAY_MS = 86_400_000
+D1, D2, D3 = BASE_TS, BASE_TS + DAY_MS, BASE_TS + 2 * DAY_MS
+DAY_NAMES = {1: "storm-backend-2024.03.01", 2: "storm-backend-2024.03.02",
+             3: "storm-backend-2024.03.03"}
+UNDATED = "storm-backend-archive"
+NAN = float("nan")
+
+
+class TestDayPruning:
+    """A time range loads and searches exactly the days it overlaps.
+
+    Each case lists the days of `DAY_NAMES` it must load; the undated index
+    and no index outside the name pattern are loaded for every range.
+    """
+
+    CASES = {
+        "straddles_midnight": ((D2 - 1000, D2 + 1000), {1, 2}),
+        "ends_at_midnight_exclusive": ((D1 + 3_600_000, D2), {1}),
+        "starts_at_235959999": ((D2 - 1, D3), {1, 2}),
+        "open_start": ((None, D2), {1}),
+        "open_end": ((D3 - 1, None), {2, 3}),
+        "open_both": ((None, None), {1, 2, 3}),
+        "nan_start": ((NAN, D2), {1}),
+        "nan_end": ((D2, NAN), {2, 3}),
+        "nan_both": ((NAN, NAN), {1, 2, 3}),
+        "after_the_last_day": ((D3 + DAY_MS, None), set()),
+    }
+
+    @pytest.fixture(scope="class")
+    def snapshot(self, tmp_path_factory):
+        root = str(tmp_path_factory.mktemp("days"))
+        rng = random.Random(17)
+        store = IX.Store()
+        docs = []
+        n = 0
+        for day, start in ((1, D1), (2, D2), (3, D3)):
+            for offset in (0, 1, 3_600_000, 43_200_000, DAY_MS - 2, DAY_MS - 1):
+                docs.append(Document(
+                    id=f"d{n:04d}", index_name=DAY_NAMES[day],
+                    fields={"@timestamp": start + offset, "kind": "backend",
+                            "status": rng.choice(["INFO", "ERROR"])},
+                ))
+                n += 1
+        # An undated index holds any timestamp, so no range may skip it.
+        for ts in (D1 - 1, D1, D2 - 1, D2, D3 + DAY_MS + 5):
+            docs.append(Document(
+                id=f"d{n:04d}", index_name=UNDATED,
+                fields={"@timestamp": ts, "kind": "backend",
+                        "status": rng.choice(["INFO", "ERROR"])},
+            ))
+            n += 1
+        other = Document(id="fe", index_name="storm-frontend-2024.03.02",
+                         fields={"@timestamp": D2, "kind": "frontend", "status": "INFO"})
+        for doc in docs + [other]:
+            IX.index_document(store, doc)
+        IX.save_store(store, root)
+        return root, docs
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pruned_load_and_search_are_exact(self, snapshot, case):
+        root, docs = snapshot
+        time_range, days = self.CASES[case]
+        pattern = "storm-backend-*"
+        pruned = IX.load_store(root, pattern, time_range)
+        assert set(pruned.indices) == {DAY_NAMES[d] for d in days} | {UNDATED}
+
+        full = IX.load_store(root)
+        shards = list(IX._matches(full, pattern, IX.MatchAll(), time_range))
+        assert len(shards) == 2 * len(pruned.indices)
+
+        for q in (IX.MatchAll(), IX.Term("status", "ERROR")):
+            hits = oracle_search(docs, q, time_range)
+            want = [(d.index_name, d.id) for d in hits]
+            for st in (pruned, full):
+                got = IX.search(st, pattern, q, time_range)
+                assert [(d.index_name, d.id) for d in got] == want
+            buckets = Counter(d.fields["@timestamp"] // 3_600_000 * 3_600_000 for d in hits)
+            for st in (pruned, full):
+                got = IX.aggregate(st, pattern, q, IX.DateHistogramAgg(3600), time_range)
+                assert got == sorted(buckets.items())
+            assert IX.aggregate(pruned, pattern, q, IX.TermsAgg("status", 5), time_range) == (
+                IX.aggregate(full, pattern, q, IX.TermsAgg("status", 5), time_range)
+            )
+
