@@ -395,11 +395,12 @@ def cmd_ml_forecast(args) -> int:
 
 
 def cmd_index_rm(args) -> int:
-    store = index_store.load_store(args.store)
+    store = index_store.Store(root=args.store)
+    on_disk = index_store.index_names(args.store)
     names = []
     for pattern in args.names:
         if "*" in pattern:
-            names.extend(index_store.match_index_pattern(pattern, list(store.indices)))
+            names.extend(index_store.match_index_pattern(pattern, on_disk))
         else:
             names.append(pattern)
     if not names:

@@ -8,8 +8,13 @@ term query against that field and kept current by later upserts, so ingest
 and snapshot load never tokenize text that no query reads. Queries are an
 AST of term/boolean/range nodes; results are exact and sorted by
 (@timestamp, id). Aggregations recompute from the matching documents, so
-they are exact at this scale. Snapshots persist one directory per index: a
-manifest plus newline-delimited documents.
+they are exact at this scale.
+
+Snapshots persist one directory per index: a manifest plus one segment per
+shard. A segment is a zlib stream of column blocks (`_write_segment`), and
+loading one fills the shard from the columns without re-indexing its
+documents. The manifest is the commit point of a save; `index_names` lists
+the indices on disk by their manifests alone.
 
 A dated index holds only documents of its own UTC day (`index_document`
 enforces it), so a time range prunes whole days: `load_store` skips the days
@@ -31,6 +36,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import count
 from operator import itemgetter
 
 from .pipeline import Document
@@ -610,22 +616,161 @@ def aggregate(
 
 
 def delete_index(store: Store, name: str) -> None:
-    if name not in store.indices:
+    """Drop an index; the next save removes its directory.
+
+    A store with a `root` can also drop an index it has not loaded, by its
+    manifest on disk.
+    """
+    if name in store.indices:
+        del store.indices[name]
+    elif (
+        name in store.deleted
+        or store.root is None
+        or not os.path.isfile(os.path.join(store.root, name, _MANIFEST))
+    ):
         raise UnknownIndex(f"no such index: {name}")
-    del store.indices[name]
     store.deleted.add(name)
 
 
 # ---------------------------------------------------------------------------
 # Snapshots
 
+# The manifest's `format`; the docs.jsonl layout that preceded it had none.
+SNAPSHOT_FORMAT = 2
+_MANIFEST = "manifest.json"
+_MANIFEST_TMP = "manifest.json.tmp"
+# A save encodes and compresses one block of this many documents at a time.
+_BLOCK_DOCS = 4096
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+def index_names(root: str) -> list[str]:
+    """The sorted names of the index directories under `root` that have a
+    manifest; reads no documents."""
+    if not os.path.isdir(root):
+        return []
+    return sorted(
+        name for name in os.listdir(root)
+        if os.path.isfile(os.path.join(root, name, _MANIFEST))
+    )
+
+
+def _write_segment(shard: Shard, path: str) -> None:
+    """Write the shard's documents as one zlib stream of column blocks, fsynced.
+
+    A block holds up to `_BLOCK_DOCS` documents in ordinal order, grouped by
+    their field names. Each group is a JSON line `[keys, ids]` with the keys
+    sorted, then one JSON array per key: that field's values, in `ids` order.
+    """
+    entries = shard.entries
+    ords = sorted(entries)
+    deflate = zlib.compressobj(1)
+    with open(path, "wb") as handle:
+        for start in range(0, len(ords), _BLOCK_DOCS):
+            groups: dict[tuple, list[Document]] = {}
+            for ord_ in ords[start:start + _BLOCK_DOCS]:
+                doc = entries[ord_][3]
+                groups.setdefault(tuple(doc.fields), []).append(doc)
+            for names, docs in groups.items():
+                keys = sorted(names)
+                columns = [[doc.fields[key] for doc in docs] for key in keys]
+                for line in ([keys, [doc.id for doc in docs]], *columns):
+                    handle.write(deflate.compress(f"{_encode(line)}\n".encode("utf-8")))
+        handle.write(deflate.flush())
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def _segment_lines(path: str) -> Iterator[bytes]:
+    """The JSON lines of a segment, inflated a chunk at a time."""
+    inflate = zlib.decompressobj()
+    tail = b""
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 16):
+            lines = (tail + inflate.decompress(chunk)).split(b"\n")
+            tail = lines.pop()
+            yield from lines
+    if tail or not inflate.eof:
+        raise ValueError("truncated segment")
+
+
+def _load_segment(shard: Shard, name: str, path: str) -> None:
+    """Fill an empty shard from its segment without `Shard.upsert`.
+
+    The result holds what upserting the documents in the segment's order
+    would: entries, `by_id`, keyword and `id` postings and numeric columns,
+    with no text postings (a text field's first term query builds them).
+    """
+    entries, by_id = shard.entries, shard.by_id
+    postings, numeric = shard.postings, shard.numeric
+    ord_ = 0
+    lines = _segment_lines(path)
+    for header in lines:
+        keys, ids = json.loads(header)
+        columns = [json.loads(next(lines)) for _ in keys]
+        ords = range(ord_, ord_ + len(ids))
+        ord_ += len(ids)
+        # The value types decide the structure, as in `Shard.upsert`.
+        for key, column in zip(keys, columns):
+            keyword = key in KEYWORD_FIELDS
+            col = terms = None
+            for o, value in zip(ords, column):
+                if value is None:
+                    continue
+                tv = type(value)
+                if tv is int or tv is float:
+                    if col is None:
+                        col = numeric.setdefault(key, {})
+                    col[o] = float(value)
+                elif keyword:
+                    if terms is None:
+                        terms = postings.setdefault(key, {})
+                    try:
+                        terms[value].append(o)
+                    except KeyError:
+                        terms[value] = [o]
+        rows = zip(*columns) if columns else [()] * len(ids)
+        for o, id_, values in zip(ords, ids, rows):
+            fields = dict(zip(keys, values))
+            entries[o] = (fields.get("@timestamp"), id_, name, Document(id_, fields, name))
+            by_id[id_] = o
+        postings.setdefault("id", {}).update(zip(ids, ([o] for o in ords)))
+    shard.next_ord = ord_
+
+
+def _load_index(path: str, name: str) -> TimeIndex:
+    with open(os.path.join(path, _MANIFEST), encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    if manifest.get("format") != SNAPSHOT_FORMAT:
+        raise StoreError(
+            f"{name}: not a format-{SNAPSHOT_FORMAT} snapshot (the older docs.jsonl"
+            " layout is not read); re-ingest its logs into a fresh store"
+        )
+    index = TimeIndex(name, int(manifest["shard_count"]))
+    segments = manifest["segments"]
+    if len(segments) != len(index.shards):
+        raise StoreError(f"snapshot corrupt for {name}: segment count mismatch")
+    try:
+        for shard, segment in zip(index.shards, segments):
+            _load_segment(shard, name, os.path.join(path, segment))
+    except (zlib.error, ValueError, StopIteration) as exc:
+        raise StoreError(f"snapshot corrupt for {name}: {exc!r}") from exc
+    if index.doc_count != int(manifest["doc_count"]):
+        raise StoreError(f"snapshot corrupt for {name}: doc_count mismatch")
+    return index
+
 
 def save_store(store: Store, root: str) -> None:
-    """Write every index as <root>/<name>/{manifest.json,docs.jsonl}.
+    """Write every changed index as <root>/<name>/manifest.json plus one
+    segment per shard.
 
     Indices untouched since load are skipped. The only directories removed
     are those of indices `delete_index` dropped from this store, so saving a
     store that holds only some of the snapshot's indices keeps the others.
+    An index is committed by its manifest: the segments are written under
+    new names and fsynced, then the manifest is replaced through a fsynced
+    temp file, and only then are the superseded files deleted. A crash at
+    any point leaves either the old or the new snapshot of the index.
     """
     os.makedirs(root, exist_ok=True)
     for name in store.deleted - store.indices.keys():
@@ -637,25 +782,32 @@ def save_store(store: Store, root: str) -> None:
         if not index.dirty and os.path.isdir(path):
             continue
         os.makedirs(path, exist_ok=True)
-        with open(os.path.join(path, "docs.jsonl"), "w", encoding="utf-8") as handle:
-            for shard in index.shards:
-                for ord_ in sorted(shard.entries):
-                    doc = shard.entries[ord_][3]
-                    handle.write(
-                        json.dumps(
-                            {"id": doc.id, "fields": doc.fields},
-                            sort_keys=True,
-                            ensure_ascii=False,
-                        )
-                    )
-                    handle.write("\n")
+        present = set(os.listdir(path))
+        generation = next(g for g in count(1) if f"shard-0.{g}.seg" not in present)
+        segments = [f"shard-{i}.{generation}.seg" for i in range(len(index.shards))]
+        for shard, segment in zip(index.shards, segments):
+            _write_segment(shard, os.path.join(path, segment))
         manifest = {
+            "format": SNAPSHOT_FORMAT,
             "name": name,
             "shard_count": len(index.shards),
             "doc_count": index.doc_count,
+            "segments": segments,
         }
-        with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as handle:
+        tmp = os.path.join(path, _MANIFEST_TMP)
+        with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, os.path.join(path, _MANIFEST))
+        # The rename must be durable before the files the old manifest names go.
+        directory = os.open(path, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+        for leaf in present - {_MANIFEST, _MANIFEST_TMP, *segments}:
+            os.remove(os.path.join(path, leaf))
         index.dirty = False
 
 
@@ -671,25 +823,10 @@ def load_store(
     that index first.
     """
     store = Store(root=root)
-    if not os.path.isdir(root):
-        return store
-    names = sorted(os.listdir(root))
+    names = index_names(root)
     if pattern is not None:
         names = match_index_pattern(pattern, names)
     for name in names:
-        path = os.path.join(root, name)
-        manifest_path = os.path.join(path, "manifest.json")
-        if not (_may_match(name, time_range) and os.path.isfile(manifest_path)):
-            continue
-        with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        index = TimeIndex(name, int(manifest["shard_count"]))
-        store.indices[name] = index
-        with open(os.path.join(path, "docs.jsonl"), encoding="utf-8") as handle:
-            for line in handle:
-                obj = json.loads(line)
-                index.upsert(Document(id=obj["id"], fields=obj["fields"], index_name=name))
-        index.dirty = False
-        if index.doc_count != int(manifest["doc_count"]):
-            raise StoreError(f"snapshot corrupt for {name}: doc_count mismatch")
+        if _may_match(name, time_range):
+            store.indices[name] = _load_index(os.path.join(root, name), name)
     return store

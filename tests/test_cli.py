@@ -119,6 +119,15 @@ class TestIngestCommand:
         total_docs = sum(ix.doc_count for ix in store.indices.values())
         assert total_docs == first["indexed"]
 
+    def test_snapshot_is_no_larger_than_the_logs(self, small_corpus, cli_store):
+        log_bytes = sum(os.path.getsize(p) for p in corpus_paths(small_corpus["dir"]))
+        index_bytes = 0
+        for name in IX.index_names(cli_store):
+            directory = os.path.join(cli_store, name)
+            index_bytes += sum(
+                os.path.getsize(os.path.join(directory, leaf)) for leaf in os.listdir(directory)
+            )
+        assert 0 < index_bytes <= 1.0 * log_bytes
 
     def test_multi_day_ingest_writes_only_the_days_it_reads(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
@@ -161,7 +170,7 @@ class TestIngestCommand:
             found = {}
             for i in (0, 1):
                 for name in day_names(i):
-                    for leaf in ("manifest.json", "docs.jsonl"):
+                    for leaf in os.listdir(os.path.join(store_dir, name)):
                         path = os.path.join(store_dir, name, leaf)
                         with open(path, "rb") as handle:
                             found[path] = (handle.read(), os.stat(path).st_mtime_ns)
@@ -383,6 +392,22 @@ class TestIndexRm:
     def test_rm_unknown_is_error(self, cli_store, capsys):
         code, _, stderr = run(capsys, "index", "rm", "--store", cli_store, "nope")
         assert code == 1
+
+    def test_rm_reads_no_documents(self, small_corpus, tmp_path, capsys):
+        store_dir = str(tmp_path / "store")
+        run(capsys, "ingest", "--paths", *corpus_paths(small_corpus["dir"]),
+            "--store", store_dir, "--base-date", "2024-03-01")
+        corrupt = os.path.join(store_dir, "storm-backend-2024.03.01")
+        for leaf in os.listdir(corrupt):
+            if leaf != "manifest.json":
+                with open(os.path.join(corrupt, leaf), "wb") as handle:
+                    handle.write(b"not a segment")
+        code, _, _ = run(capsys, "index", "rm", "--store", store_dir, "storm-monitoring-*")
+        assert code == 0
+        assert "storm-monitoring-2024.03.01" not in IX.index_names(store_dir)
+        assert len(IX.index_names(store_dir)) == 4
+        with pytest.raises(IX.StoreError, match="storm-backend-2024.03.01"):
+            IX.load_store(store_dir, "storm-backend-*")
 
     def test_rm_pattern(self, small_corpus, tmp_path, capsys):
         store_dir = str(tmp_path / "store")

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import random
 from collections import Counter
 
@@ -397,6 +399,149 @@ class TestSnapshot:
         assert reloaded.indices[f"storm-backend-{DAY}"].doc_count == 1
         IX.save_store(reloaded, str(tmp_path))
         assert IX.load_store(str(tmp_path)).indices[f"storm-backend-{DAY}"].doc_count == 1
+
+
+def odd_doc(i, **changes):
+    """A document whose values test the snapshot's round trip: ints beside
+    floats, NaN, bools, None, an int in a keyword field, non-ASCII text,
+    sparse geo fields and, for some ids, another key order."""
+    fields = {
+        "@timestamp": BASE_TS + i * 7, "kind": "backend", "offset": i,
+        "status": ["INFO", "ERROR", None, 500][i % 4],
+        "message": f"naïve Ωmega 東京 request {i}",
+        "user_dn": f"/C=IT/O=Ünïvèrsità/CN=user{i % 17}",
+        "mean_ms": float("nan") if i % 13 == 0 else (i / 3 if i % 2 else i),
+    }
+    if i % 5 == 0:
+        fields.update(geo_lat=41.9 + i % 3, geo_lon=-12.5, geo_label="IT/Roma")
+    if i % 7 == 0:
+        fields["sync_performed"] = i % 2 == 0
+    if i % 11 == 0:
+        fields["result"] = True
+    fields.update(changes)
+    if i % 9 == 0:
+        fields = dict(reversed(fields.items()))
+    return Document(id=f"odd{i:05d}", fields=fields, index_name=f"storm-backend-{DAY}")
+
+
+def shard_state(index):
+    """Per shard and id: the document and its live keyword, `id` and numeric
+    entries. Stale entries of replaced documents are left out, and values are
+    compared by repr, so NaN equals NaN and 1 differs from 1.0 and True."""
+    state = {}
+    for n, shard in enumerate(index.shards):
+        ids = {o: entry[1] for o, entry in shard.entries.items()}
+        assert {shard.by_id[doc_id]: doc_id for doc_id in ids.values()} == ids
+        for ts, doc_id, name, doc in shard.entries.values():
+            assert (doc.id, doc.index_name, ts) == (doc_id, name, doc.fields["@timestamp"])
+            state[n, doc_id] = {"fields": repr(sorted(doc.fields.items())), "terms": set()}
+        for field, terms in shard.postings.items():
+            if field in shard.text_built:
+                continue
+            for term, ords in terms.items():
+                for o in set(ords) & ids.keys():
+                    state[n, ids[o]]["terms"].add((field, repr(term)))
+        for field, column in shard.numeric.items():
+            for o, value in column.items():
+                if o in ids:
+                    state[n, ids[o]]["terms"].add((field, repr(value)))
+    return state
+
+
+class TestSegments:
+    NAME = f"storm-backend-{DAY}"
+
+    def test_load_rebuilds_the_upsert_built_state(self, tmp_path):
+        root = str(tmp_path)
+        store = IX.Store()
+        current = {}
+        for i in range(9000):
+            doc = odd_doc(i)
+            current[doc.id] = doc
+            IX.index_document(store, doc)
+        for i in range(0, 9000, 10):
+            doc = odd_doc(i, status="WARN", message=None, extra=i)
+            del doc.fields["user_dn"]
+            current[doc.id] = doc
+            IX.index_document(store, doc)
+        IX.save_store(store, root)
+        reloaded = IX.load_store(root)
+        index = reloaded.indices[self.NAME]
+        assert min(len(shard.entries) for shard in index.shards) > IX._BLOCK_DOCS
+        assert all(shard.next_ord == len(shard.entries) for shard in index.shards)
+        assert shard_state(index) == shard_state(store.indices[self.NAME])
+
+        # The loaded state keeps working: text postings, upserts, queries.
+        text = IX.Term("message", "naïve request 12")
+        assert len(IX.search(reloaded, "storm-*", text)) == 1
+        for i in range(8990, 9100):
+            doc = odd_doc(i, message=f"zebra naïve {i}", status="INFO")
+            current[doc.id] = doc
+            IX.index_document(reloaded, doc)
+        docs = list(current.values())
+        rng = random.Random(23)
+        queries = [text, IX.Term("message", "zebra"), IX.Term("status", 500),
+                   IX.Term("user_dn", "/C=IT/O=Ünïvèrsità/CN=user3"),
+                   IX.Range("mean_ms", min=100, max=200)]
+        queries += [random_query(rng, docs) for _ in range(60)]
+        for q in queries:
+            got = IX.search(reloaded, "storm-*", q)
+            hits = oracle_search(docs, q)
+            assert [d.id for d in got] == [d.id for d in hits]
+            counts = Counter(d.fields["status"] for d in hits if d.fields["status"] is not None)
+            want = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[:3]
+            assert IX.aggregate(reloaded, "storm-*", q, IX.TermsAgg("status", 3)) == want
+            stats = IX.aggregate(reloaded, "storm-*", q, IX.StatsAgg("offset"))
+            assert (stats["count"], stats["sum"]) == (
+                len(hits), math.fsum(d.fields["offset"] for d in hits))
+
+    def test_failed_manifest_replace_keeps_the_previous_snapshot(
+        self, store_and_docs, tmp_path, monkeypatch
+    ):
+        store, docs = store_and_docs
+        root = str(tmp_path)
+        path = os.path.join(root, self.NAME)
+        IX.save_store(store, root)
+        committed = sorted(os.listdir(path))
+        for i in range(len(docs), len(docs) + 50):
+            IX.index_document(store, make_doc(i, status="ERROR"))
+
+        def crash(*_args):
+            raise OSError("crash before the manifest is replaced")
+
+        monkeypatch.setattr(IX.os, "replace", crash)
+        with pytest.raises(OSError):
+            IX.save_store(store, root)
+        monkeypatch.undo()
+        previous = IX.load_store(root).indices[self.NAME]
+        assert previous.doc_count == len(docs)
+        assert not IX.search(IX.load_store(root), "storm-*", IX.Term("id", make_doc(len(docs)).id))
+
+        IX.save_store(store, root)
+        assert IX.load_store(root).indices[self.NAME].doc_count == len(docs) + 50
+        with open(os.path.join(path, "manifest.json"), encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert sorted(os.listdir(path)) == sorted(["manifest.json", *manifest["segments"]])
+        assert not set(manifest["segments"]) & set(committed)
+
+    def test_old_docs_jsonl_layout_is_refused(self, tmp_path):
+        path = tmp_path / self.NAME
+        path.mkdir()
+        (path / "manifest.json").write_text(
+            json.dumps({"name": self.NAME, "shard_count": 2, "doc_count": 1}))
+        (path / "docs.jsonl").write_text(
+            json.dumps({"id": "a", "fields": {"@timestamp": BASE_TS}}) + "\n")
+        with pytest.raises(IX.StoreError, match=f"{self.NAME}.*re-ingest.*fresh store"):
+            IX.load_store(str(tmp_path))
+
+    def test_truncated_segment_is_reported_as_corrupt(self, store_and_docs, tmp_path):
+        store, _ = store_and_docs
+        IX.save_store(store, str(tmp_path))
+        path = tmp_path / self.NAME
+        segment = next(p for p in path.iterdir() if p.name != "manifest.json")
+        segment.write_bytes(segment.read_bytes()[:-40])
+        with pytest.raises(IX.StoreError, match=f"snapshot corrupt for {self.NAME}"):
+            IX.load_store(str(tmp_path))
 
 
 DAY_MS = 86_400_000

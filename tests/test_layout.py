@@ -16,8 +16,9 @@ SHIPPED = ("src", "scripts", "perfbench")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 EXEMPT = {
-    # The generator's self-check: tests compare generated corpora against it.
-    "loggen.verify_consistency",
+    # The event parser that acceptance criteria 01 and 02 call; the stock
+    # pipeline matches the same `codecs.GRAMMARS` without it.
+    "codecs.parse_line",
 }
 
 

@@ -2,12 +2,15 @@ import hashlib
 import json
 import math
 import os
+import re
 import statistics
+from dataclasses import dataclass
 
 import pytest
 
 from stormwatch import loggen as LG
-from stormwatch.codecs import FILENAME_FOR_KIND, LogKind
+from stormwatch.codecs import FILENAME_FOR_KIND, BunchStats, LogKind, parse_line, render_line
+from stormwatch.timeutil import DayContext, day_start_ms
 
 
 def file_hashes(directory):
@@ -117,14 +120,175 @@ class TestGenerate:
         assert 3.0 <= spike / quiet <= 5.0
 
 
+# ---------------------------------------------------------------------------
+# The generator's self-check: re-parse a corpus and cross-check its aggregates
+
+
+@dataclass
+class ConsistencyReport:
+    issues: list[str]
+    lines_parsed: dict[str, int]
+
+    @property
+    def ok(self) -> bool:
+        return not self.issues
+
+
+_TOOK_RE = re.compile(r"^client=(\S+) took=([^m]+)ms$")
+
+
+def _parse_generated_frontend(events) -> list[LG._Request]:
+    out = []
+    level_to_outcome = {v: k for k, v in LG._FE_LEVEL.items()}
+    for event in events:
+        if event.level == "DEBUG":
+            continue
+        m = _TOOK_RE.match(event.message)
+        if m is None:
+            continue
+        out.append(
+            LG._Request(
+                t_ms=event.timestamp,
+                op=event.operation,
+                rid=event.request_id,
+                user_dn=event.user_dn,
+                vo="",
+                ip=m.group(1),
+                surl=event.surl,
+                latency_ms=float(m.group(2)),
+                outcome=level_to_outcome[event.level],
+            )
+        )
+    return out
+
+
+def verify_consistency(out_dir: str) -> ConsistencyReport:
+    """Re-parse a generated corpus and cross-check every derived aggregate.
+
+    Checks: every line parses (field-range violations included), heartbeat
+    counters are monotone, and the monitoring, heartbeat and backend-metrics
+    aggregates equal a recomputation from the frontend request stream, which
+    in turn must match truth.json per minute.
+    """
+    truth = LG.load_truth(out_dir)
+    start = truth["start_ms"]
+    issues: list[str] = []
+    parsed: dict[str, list] = {}
+    lines_parsed: dict[str, int] = {}
+
+    for kind in LogKind:
+        path = os.path.join(out_dir, FILENAME_FOR_KIND[kind])
+        ctx = DayContext(day_start_ms(start))
+        events = []
+        with open(path, encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.rstrip("\n")
+                try:
+                    events.append(parse_line(kind, line, ctx))
+                except Exception as exc:
+                    issues.append(f"{FILENAME_FOR_KIND[kind]}:{lineno}: {exc}")
+        parsed[kind.value] = events
+        lines_parsed[kind.value] = len(events)
+
+    heartbeats = parsed[LogKind.HEARTBEAT.value]
+    for prev, cur in zip(heartbeats, heartbeats[1:]):
+        if cur.ptg_total < prev.ptg_total or cur.ptp_total < prev.ptp_total:
+            issues.append(f"heartbeat seq {cur.seq}: totals decreased")
+        if cur.lifetime_seconds <= prev.lifetime_seconds:
+            issues.append(f"heartbeat seq {cur.seq}: lifetime not increasing")
+
+    requests = _parse_generated_frontend(parsed[LogKind.FRONTEND.value])
+    for r in requests:
+        r.t_ms -= start
+    if any(r.t_ms < 0 for r in requests):
+        issues.append("frontend timestamps precede the corpus start")
+        return ConsistencyReport(issues, lines_parsed)
+
+    workload = LG.WorkloadSpec(
+        seed=truth["seed"],
+        duration_seconds=truth["duration_seconds"],
+        start_ms=start,
+        heartbeat_period=truth["heartbeat_period"],
+        monitoring_round=truth["monitoring_round"],
+    )
+
+    minutes = truth["duration_seconds"] // 60
+    minute_buckets = LG._bucketize(requests, 60000, minutes)
+    for minute, bucket in enumerate(minute_buckets):
+        want = truth["minutes"][minute]
+        got_counts: dict[str, int] = {}
+        for r in bucket:
+            got_counts[r.op] = got_counts.get(r.op, 0) + 1
+        if got_counts != want["op_counts"]:
+            issues.append(f"minute {minute}: op counts differ from truth")
+        got_samples: dict[str, list[float]] = {}
+        for r in bucket:
+            got_samples.setdefault(r.op, []).append(r.latency_ms)
+        if got_samples != want["latency_samples_ms"]:
+            issues.append(f"minute {minute}: latency samples differ from truth")
+
+    recomputed = LG._monitoring_lines(workload, requests)
+    rendered = parsed[LogKind.MONITORING.value]
+    if len(recomputed) != len(rendered):
+        issues.append("monitoring line count differs from recomputation")
+    else:
+        for k, (line, event) in enumerate(zip(recomputed, rendered)):
+            if line != render_line(event):
+                issues.append(f"monitoring round {k}: stats differ from recomputation")
+
+    rendered_metrics = parsed[LogKind.BACKEND_METRICS.value]
+    recomputed_metric_lines, _ = LG._metrics_lines(workload, minute_buckets)
+    if len(recomputed_metric_lines) != len(rendered_metrics):
+        issues.append("backend-metrics line count differs from recomputation")
+    else:
+        for k, (line, event) in enumerate(zip(recomputed_metric_lines, rendered_metrics)):
+            if line != render_line(event):
+                issues.append(f"backend-metrics line {k + 1}: differs from recomputation")
+
+    period_ms = workload.heartbeat_period * 1000
+    beats = workload.duration_seconds * 1000 // period_ms
+    if len(heartbeats) != beats:
+        issues.append("heartbeat line count differs from recomputation")
+    else:
+        ptg_total = 0
+        ptp_total = 0
+        for k, in_beat in enumerate(LG._bucketize(requests, period_ms, beats)):
+            ptg = [r for r in in_beat if r.op == "srmPrepareToGet"]
+            ptp = [r for r in in_beat if r.op == "srmPrepareToPut"]
+            ptg_total += len(ptg)
+            ptp_total += len(ptp)
+            got = heartbeats[k]
+            want_ptg = BunchStats(
+                count=len(ptg),
+                ok=sum(1 for r in ptg if r.outcome == "success"),
+                mean_duration_ms=LG._mean([r.latency_ms for r in ptg]),
+            )
+            want_ptp = BunchStats(
+                count=len(ptp),
+                ok=sum(1 for r in ptp if r.outcome == "success"),
+                mean_duration_ms=LG._mean([r.latency_ms for r in ptp]),
+            )
+            sync_count = sum(1 for r in in_beat if r.op not in LG.ASYNC_OPS)
+            if (
+                got.ptg_total != ptg_total
+                or got.ptp_total != ptp_total
+                or got.ptg_last != want_ptg
+                or got.ptp_last != want_ptp
+                or got.synch_last_beat != sync_count
+            ):
+                issues.append(f"heartbeat seq {got.seq}: differs from recomputation")
+
+    return ConsistencyReport(issues, lines_parsed)
+
+
 class TestVerifyConsistency:
     def test_fresh_generation_is_consistent(self, small_corpus):
-        report = LG.verify_consistency(small_corpus["dir"])
+        report = verify_consistency(small_corpus["dir"])
         assert report.ok, report.issues[:5]
         assert report.lines_parsed == small_corpus["truth"]["line_counts"]
 
     def test_anomalous_generation_is_consistent(self, anomalous_corpus):
-        report = LG.verify_consistency(anomalous_corpus["dir"])
+        report = verify_consistency(anomalous_corpus["dir"])
         assert report.ok, report.issues[:5]
 
     def test_single_byte_corruption_is_one_parse_failure(self, tmp_path):
@@ -133,7 +297,7 @@ class TestVerifyConsistency:
         data = path.read_bytes()
         index = data.index(b"Heap")
         path.write_bytes(data[:index] + b"Xeap" + data[index + 4 :])
-        report = LG.verify_consistency(str(tmp_path))
+        report = verify_consistency(str(tmp_path))
         assert not report.ok
         parse_failures = [i for i in report.issues if "heartbeat.log:" in i]
         assert len(parse_failures) == 1
@@ -144,7 +308,7 @@ class TestVerifyConsistency:
         lines = path.read_text().splitlines()
         lines[1] = lines[1].replace("SYNCH [", "SYNCH [9", 1)
         path.write_text("\n".join(lines) + "\n")
-        report = LG.verify_consistency(str(tmp_path))
+        report = verify_consistency(str(tmp_path))
         assert any("differs from recomputation" in issue for issue in report.issues)
 
 
