@@ -172,7 +172,6 @@ class DetectorParams:
     decay: float = 0.02
     warmup_buckets: int = 20
     k_bound: float = 3.0
-    gap_policy: str = "skip"
     level_cutpoints: tuple[float, float, float, float] = LEVEL_CUTPOINTS
 
     def new_model(self) -> BaselineModel:

@@ -2,7 +2,8 @@
 
 Subcommands: loggen, ingest, query, agg, report, ml detect, ml forecast,
 index rm. Exit codes: 0 success, 1 usage or configuration error, 2 data
-error (dead-letter fraction above threshold), 3 internal error.
+error (dead-letter fraction above threshold, unreadable or corrupt store),
+3 internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 
 from . import anomaly, index as index_store, loggen, metrics, pipeline, shipper
 from .codecs import UnknownLogKind
@@ -72,6 +74,26 @@ def _time_range(args) -> tuple[int | None, int | None] | None:
     if lo is None and hi is None:
         return None
     return (lo, hi)
+
+
+def _csv_field(value) -> str:
+    text = "" if value is None else str(value)
+    if "," in text or '"' in text:
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _render_rows(header: list[str], rows: list[list], fmt: str) -> Iterator[str]:
+    """The rows as CSV lines under the header, or as one JSON object each.
+
+    A CSV value is quoted only when it holds a comma or a double quote.
+    """
+    if fmt == "json-lines":
+        for row in rows:
+            yield json.dumps(dict(zip(header, row)), sort_keys=True, ensure_ascii=False)
+    else:
+        for row in (header, *rows):
+            yield ",".join(map(_csv_field, row))
 
 
 def _write(path: str, content: str) -> None:
@@ -200,20 +222,13 @@ def cmd_query(args) -> int:
     q = _load_query(args.q)
     docs = index_store.search(store, args.index, q, time_range)
     if args.format == "json-lines":
-        for doc in docs:
-            print(json.dumps({"id": doc.id, "index": doc.index_name, "fields": doc.fields},
-                             sort_keys=True, ensure_ascii=False))
+        header = ["id", "index", "fields"]
+        rows = [[doc.id, doc.index_name, doc.fields] for doc in docs]
     else:
-        print(",".join(_QUERY_CSV_COLUMNS))
-        for doc in docs:
-            row = [doc.id]
-            for column in _QUERY_CSV_COLUMNS[1:]:
-                value = doc.fields.get(column)
-                text = "" if value is None else str(value)
-                if "," in text or '"' in text:
-                    text = '"' + text.replace('"', '""') + '"'
-                row.append(text)
-            print(",".join(row))
+        header = list(_QUERY_CSV_COLUMNS)
+        rows = [[doc.id, *map(doc.fields.get, _QUERY_CSV_COLUMNS[1:])] for doc in docs]
+    for line in _render_rows(header, rows, args.format):
+        print(line)
     print(f"# {len(docs)} documents", file=sys.stderr)
     return EXIT_OK
 
@@ -237,28 +252,15 @@ def cmd_agg(args) -> int:
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad aggregation: {exc}") from exc
     result = index_store.aggregate(store, args.index, q, agg, time_range)
-    header, rows = _agg_rows(agg, result)
-    if args.format == "json-lines":
-        for row in rows:
-            print(json.dumps(dict(zip(header, row)), sort_keys=True, ensure_ascii=False))
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join("" if v is None else str(v) for v in row))
+    for line in _render_rows(*_agg_rows(agg, result), args.format):
+        print(line)
     return EXIT_OK
 
 
 def _report_csv_jsonl(out_dir: str, name: str, header: list[str], rows: list[list]) -> None:
-    csv_lines = [",".join(header)]
-    for row in rows:
-        csv_lines.append(",".join("" if v is None else str(v) for v in row))
-    _write(os.path.join(out_dir, f"{name}.csv"), "\n".join(csv_lines) + "\n")
-    jsonl = [
-        json.dumps(dict(zip(header, row)), sort_keys=True, ensure_ascii=False)
-        for row in rows
-    ]
-    body = ("\n".join(jsonl) + "\n") if jsonl else ""
-    _write(os.path.join(out_dir, f"{name}.jsonl"), body)
+    for fmt, suffix in (("csv", "csv"), ("json-lines", "jsonl")):
+        body = "".join(f"{line}\n" for line in _render_rows(header, rows, fmt))
+        _write(os.path.join(out_dir, f"{name}.{suffix}"), body)
 
 
 def cmd_report(args) -> int:
@@ -514,12 +516,13 @@ def main(argv: list[str] | None = None) -> int:
         metrics.MetricError,
         loggen.LoggenError,
         index_store.MalformedPattern,
+        index_store.AggregationError,
         anomaly.WarmupError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, index_store.StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -1,20 +1,20 @@
-"""Day-partitioned, sharded inverted indices over pipeline documents.
+"""Day-partitioned inverted indices over pipeline documents.
 
-Indices are named `storm-<kind>-YYYY.MM.DD` and hold an in-memory inverted
-index per shard (text fields tokenized on non-alphanumeric boundaries and
-lowercased, keyword fields indexed verbatim, numeric fields in columns for
-range queries). A text field's postings are built per shard on the first
+Indices are named `storm-<kind>-YYYY.MM.DD` and each holds one in-memory
+inverted index, its shard (text fields tokenized on non-alphanumeric
+boundaries and lowercased, keyword fields indexed verbatim, numeric fields in
+columns for range queries). A text field's postings are built on the first
 term query against that field and kept current by later upserts, so ingest
 and snapshot load never tokenize text that no query reads. Queries are an
 AST of term/boolean/range nodes; results are exact and sorted by
 (@timestamp, id). Aggregations recompute from the matching documents, so
 they are exact at this scale.
 
-Snapshots persist one directory per index: a manifest plus one segment per
-shard. A segment is a zlib stream of column blocks (`_write_segment`), and
-loading one fills the shard from the columns without re-indexing its
-documents. The manifest is the commit point of a save; `index_names` lists
-the indices on disk by their manifests alone.
+Snapshots persist one directory per index: a manifest plus the segments it
+lists. A segment is a zlib stream of column blocks (`_write_segment`), and
+loading the segments in order fills the shard from the columns without
+re-indexing their documents. The manifest is the commit point of a save;
+`index_names` lists the indices on disk by their manifests alone.
 
 A dated index holds only documents of its own UTC day (`index_document`
 enforces it), so a time range prunes whole days: `load_store` skips the days
@@ -393,21 +393,18 @@ def _add_tokens(terms: dict[str, list[int]], text: str, ord_: int) -> None:
 
 
 class TimeIndex:
-    def __init__(self, name: str, shard_count: int = 2) -> None:
-        if shard_count < 1:
-            raise StoreError("shard_count must be >= 1")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.shards = [Shard() for _ in range(shard_count)]
+        # One shard, in a list because the benchmark's tracer iterates `shards`.
+        self.shards = [Shard()]
         self.dirty = False
 
     @property
     def doc_count(self) -> int:
-        return sum(len(s.by_id) for s in self.shards)
+        return len(self.shards[0].by_id)
 
     def upsert(self, doc: Document) -> None:
-        # crc32 is stable across processes, which keeps routing consistent
-        # between snapshot reloads (same id, same shard, upsert still works).
-        self.shards[zlib.crc32(doc.id.encode("utf-8")) % len(self.shards)].upsert(doc)
+        self.shards[0].upsert(doc)
         self.dirty = True
 
 
@@ -418,8 +415,7 @@ class Store:
     snapshot on its first write, unless this process deleted it (`deleted`).
     """
 
-    def __init__(self, shard_count: int = 2, root: str | None = None) -> None:
-        self.shard_count = shard_count
+    def __init__(self, root: str | None = None) -> None:
         self.root = root
         self.indices: dict[str, TimeIndex] = {}
         self.deleted: set[str] = set()
@@ -471,7 +467,7 @@ def _may_match(
 
 
 def index_document(store: Store, doc: Document) -> None:
-    """Upsert one document into its index (routing by id hash)."""
+    """Upsert one document into its index."""
     timestamp = doc.fields.get("@timestamp")
     if type(timestamp) is not int:
         raise MissingTimestamp(f"document {doc.id} has no @timestamp")
@@ -485,7 +481,7 @@ def index_document(store: Store, doc: Document) -> None:
         if store.root is not None and name not in store.deleted:
             index = load_store(store.root, name).indices.get(name)
         if index is None:
-            index = TimeIndex(name, store.shard_count)
+            index = TimeIndex(name)
         store.indices[name] = index
     index.upsert(doc)
 
@@ -507,7 +503,7 @@ def _matches(
     q: Query,
     time_range: tuple[int | None, int | None] | None,
 ) -> Iterator[tuple[Shard, set[int]]]:
-    """Each shard of the matching indices with the ordinals it matches.
+    """The shard of each matching index with the ordinals it matches.
 
     Indices whose day lies outside `time_range` are skipped unread.
     """
@@ -695,15 +691,16 @@ def _segment_lines(path: str) -> Iterator[bytes]:
 
 
 def _load_segment(shard: Shard, name: str, path: str) -> None:
-    """Fill an empty shard from its segment without `Shard.upsert`.
+    """Add a segment's documents to a shard without `Shard.upsert`.
 
-    The result holds what upserting the documents in the segment's order
-    would: entries, `by_id`, keyword and `id` postings and numeric columns,
-    with no text postings (a text field's first term query builds them).
+    The documents must be new to the shard. The result holds what upserting
+    them in the segment's order would: entries, `by_id`, keyword and `id`
+    postings and numeric columns, with no text postings (a text field's
+    first term query builds them).
     """
     entries, by_id = shard.entries, shard.by_id
     postings, numeric = shard.postings, shard.numeric
-    ord_ = 0
+    ord_ = shard.next_ord
     lines = _segment_lines(path)
     for header in lines:
         keys, ids = json.loads(header)
@@ -746,13 +743,10 @@ def _load_index(path: str, name: str) -> TimeIndex:
             f"{name}: not a format-{SNAPSHOT_FORMAT} snapshot (the older docs.jsonl"
             " layout is not read); re-ingest its logs into a fresh store"
         )
-    index = TimeIndex(name, int(manifest["shard_count"]))
-    segments = manifest["segments"]
-    if len(segments) != len(index.shards):
-        raise StoreError(f"snapshot corrupt for {name}: segment count mismatch")
+    index = TimeIndex(name)
     try:
-        for shard, segment in zip(index.shards, segments):
-            _load_segment(shard, name, os.path.join(path, segment))
+        for segment in manifest["segments"]:
+            _load_segment(index.shards[0], name, os.path.join(path, segment))
     except (zlib.error, ValueError, StopIteration) as exc:
         raise StoreError(f"snapshot corrupt for {name}: {exc!r}") from exc
     if index.doc_count != int(manifest["doc_count"]):
@@ -762,13 +756,13 @@ def _load_index(path: str, name: str) -> TimeIndex:
 
 def save_store(store: Store, root: str) -> None:
     """Write every changed index as <root>/<name>/manifest.json plus one
-    segment per shard.
+    segment.
 
     Indices untouched since load are skipped. The only directories removed
     are those of indices `delete_index` dropped from this store, so saving a
     store that holds only some of the snapshot's indices keeps the others.
-    An index is committed by its manifest: the segments are written under
-    new names and fsynced, then the manifest is replaced through a fsynced
+    An index is committed by its manifest: the segment is written under a
+    new name and fsynced, then the manifest is replaced through a fsynced
     temp file, and only then are the superseded files deleted. A crash at
     any point leaves either the old or the new snapshot of the index.
     """
@@ -783,16 +777,13 @@ def save_store(store: Store, root: str) -> None:
             continue
         os.makedirs(path, exist_ok=True)
         present = set(os.listdir(path))
-        generation = next(g for g in count(1) if f"shard-0.{g}.seg" not in present)
-        segments = [f"shard-{i}.{generation}.seg" for i in range(len(index.shards))]
-        for shard, segment in zip(index.shards, segments):
-            _write_segment(shard, os.path.join(path, segment))
+        segment = next(f"{g}.seg" for g in count(1) if f"{g}.seg" not in present)
+        _write_segment(index.shards[0], os.path.join(path, segment))
         manifest = {
             "format": SNAPSHOT_FORMAT,
             "name": name,
-            "shard_count": len(index.shards),
             "doc_count": index.doc_count,
-            "segments": segments,
+            "segments": [segment],
         }
         tmp = os.path.join(path, _MANIFEST_TMP)
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -806,7 +797,7 @@ def save_store(store: Store, root: str) -> None:
             os.fsync(directory)
         finally:
             os.close(directory)
-        for leaf in present - {_MANIFEST, _MANIFEST_TMP, *segments}:
+        for leaf in present - {_MANIFEST, _MANIFEST_TMP, segment}:
             os.remove(os.path.join(path, leaf))
         index.dirty = False
 

@@ -342,10 +342,7 @@ def generate(
     backend_lines.sort(key=lambda item: item[0])
 
     # Derived streams, all computed from the same request list.
-    minutes = duration // 60
-    minute_requests: list[list[_Request]] = [[] for _ in range(minutes)]
-    for r in requests:
-        minute_requests[r.t_ms // 60000].append(r)
+    minute_requests = _bucketize(requests, 60_000, duration // 60)
 
     monitoring_lines = _monitoring_lines(workload, requests)
     heartbeat_lines = _heartbeat_lines(workload, requests, rng)

@@ -257,7 +257,7 @@ def _route_sets_timestamp(stages: list[Stage]) -> bool:
     return False
 
 
-def load_pipeline(config_text: str, geo_csv_text: str | None = None) -> Pipeline:
+def load_pipeline(config_text: str) -> Pipeline:
     """Validate and build a pipeline from its JSON config document.
 
     Every grok pattern is compiled and the geo table loaded up front, so a
@@ -278,9 +278,7 @@ def load_pipeline(config_text: str, geo_csv_text: str | None = None) -> Pipeline
     except patterns.PatternError as exc:
         raise PipelineConfigError(f"patterns: {exc}") from exc
 
-    if geo_csv_text is None:
-        geo_csv_text = config.get("geo_table_csv", default_geo_csv())
-    geo_table = load_geo_table(geo_csv_text)
+    geo_table = load_geo_table(config.get("geo_table_csv", default_geo_csv()))
 
     routes: dict[LogKind, list[Stage]] = {}
     for kind_token, stage_specs in config["routes"].items():
@@ -446,10 +444,7 @@ def default_pipeline_config(base_date: str = "1970-01-01") -> dict:
     }
 
 
-def default_geo_csv_path() -> str:
-    return os.path.join(os.path.dirname(__file__), "data", "geo_sample.csv")
-
-
 def default_geo_csv() -> str:
-    with open(default_geo_csv_path(), encoding="utf-8") as handle:
+    path = os.path.join(os.path.dirname(__file__), "data", "geo_sample.csv")
+    with open(path, encoding="utf-8") as handle:
         return handle.read()

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -7,6 +9,7 @@ from conftest import corpus_paths
 from stormwatch import index as IX
 from stormwatch import loggen
 from stormwatch.cli import main
+from stormwatch.pipeline import Document
 from stormwatch.timeutil import parse_date_ms
 
 
@@ -234,6 +237,47 @@ class TestQueryAndAgg:
         store = IX.load_store(cli_store, "storm-backend-*")
         want = IX.aggregate(store, "storm-backend-*", IX.MatchAll(), IX.TermsAgg("status", 5))
         assert [(v, int(c)) for v, c in got] == want
+
+    def test_agg_csv_quotes_values_with_commas(self, cli_store, capsys):
+        code, stdout, _ = run(
+            capsys, "agg", "--store", cli_store, "--index", "storm-*",
+            "--agg", json.dumps({"terms": {"field": "fqans"}}),
+        )
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(stdout))
+        assert header == ["value", "count"]
+        assert all(len(row) == 2 for row in rows)
+        assert any("," in value for value, _ in rows)
+        store = IX.load_store(cli_store, "storm-*")
+        want = IX.aggregate(store, "storm-*", IX.MatchAll(), IX.TermsAgg("fqans", 10))
+        assert [(v, int(c)) for v, c in rows] == want
+
+    def test_stats_on_text_field_is_usage_error(self, cli_store, capsys):
+        code, _, stderr = run(
+            capsys, "agg", "--store", cli_store, "--index", "storm-backend-*",
+            "--agg", json.dumps({"stats": {"field": "status"}}),
+        )
+        assert code == 1
+        assert stderr.startswith("error: stats on non-numeric field 'status'")
+
+    def test_corrupt_or_old_store_is_data_error(self, tmp_path, capsys):
+        name = "storm-backend-2024.03.01"
+        store = IX.Store()
+        IX.index_document(store, Document(
+            id="a", index_name=name,
+            fields={"@timestamp": parse_date_ms("2024-03-01"), "status": "INFO"}))
+        root = tmp_path / "store"
+        IX.save_store(store, str(root))
+        (segment,) = (p for p in (root / name).iterdir() if p.name != "manifest.json")
+        segment.write_bytes(segment.read_bytes()[:-4])
+        code, _, stderr = run(capsys, "query", "--store", str(root), "--index", "storm-*")
+        assert code == 2
+        assert stderr.startswith(f"error: snapshot corrupt for {name}")
+
+        (root / name / "manifest.json").write_text(json.dumps({"name": name, "doc_count": 1}))
+        code, _, stderr = run(capsys, "query", "--store", str(root), "--index", "storm-*")
+        assert code == 2
+        assert stderr.startswith(f"error: {name}: not a format-2 snapshot")
 
 
 class TestReportCommand:

@@ -214,22 +214,10 @@ class TestSearch:
             want = oracle_search(docs, q, time_range)
             assert [d.id for d in got] == [d.id for d in want]
 
-    def test_shard_union_equals_whole_scan(self):
-        docs = make_corpus(n=150, seed=9)
-        single = IX.Store(shard_count=1)
-        sharded = IX.Store(shard_count=4)
-        for doc in docs:
-            IX.index_document(single, doc)
-            IX.index_document(sharded, doc)
-        q = IX.Or((IX.Term("status", "ERROR"), IX.Range("mean_ms", min=40)))
-        assert [d.id for d in IX.search(single, "storm-*", q)] == [
-            d.id for d in IX.search(sharded, "storm-*", q)
-        ]
-
-    def test_shard_routing_stable(self, tmp_path):
+    def test_upsert_after_snapshot_round_trip_replaces(self, tmp_path):
         # Each id upserted once before a snapshot round trip and once after
-        # must land in the same shard, replacing rather than duplicating.
-        store = IX.Store(shard_count=4)
+        # is replaced rather than duplicated.
+        store = IX.Store()
         for i in range(50):
             IX.index_document(store, make_doc(i, status="INFO"))
         IX.save_store(store, str(tmp_path))
@@ -238,10 +226,8 @@ class TestSearch:
             IX.index_document(store, make_doc(i, status="ERROR"))
         (index,) = store.indices.values()
         assert index.doc_count == 50
-        for i in range(50):
-            doc_id = make_doc(i).id
-            assert sum(doc_id in shard.by_id for shard in index.shards) == 1
         assert len(IX.search(store, "storm-*", IX.Term("status", "ERROR"))) == 50
+        assert not IX.search(store, "storm-*", IX.Term("status", "INFO"))
 
 
 class TestAggregations:
@@ -524,6 +510,41 @@ class TestSegments:
         assert sorted(os.listdir(path)) == sorted(["manifest.json", *manifest["segments"]])
         assert not set(manifest["segments"]) & set(committed)
 
+    def test_two_segment_store_of_the_earlier_layout_loads(self, tmp_path):
+        # Saves once routed each index's documents to two shards by a hash
+        # of the id, wrote one segment per shard and a `shard_count` key.
+        docs = make_corpus(n=300, seed=11)
+        path = tmp_path / self.NAME
+        path.mkdir()
+        segments = []
+        for n in range(2):
+            shard = IX.Shard()
+            for doc in docs[n::2]:
+                shard.upsert(doc)
+            segments.append(f"shard-{n}.1.seg")
+            IX._write_segment(shard, str(path / segments[-1]))
+        (path / "manifest.json").write_text(json.dumps({
+            "format": 2, "name": self.NAME, "shard_count": 2,
+            "doc_count": len(docs), "segments": segments}))
+        loaded = IX.load_store(str(tmp_path))
+        whole = IX.Store()
+        for doc in docs:
+            IX.index_document(whole, doc)
+
+        assert loaded.indices[self.NAME].doc_count == len(docs)
+        for q in (IX.MatchAll(), IX.Term("message", "srmLs done"),
+                  IX.And((IX.Term("status", "ERROR"), IX.Range("mean_ms", min=40)))):
+            assert [d.id for d in IX.search(loaded, "storm-*", q)] == [
+                d.id for d in IX.search(whole, "storm-*", q)]
+            for agg in (IX.TermsAgg("action", 10), IX.StatsAgg("mean_ms"),
+                        IX.DateHistogramAgg(60)):
+                assert IX.aggregate(loaded, "storm-*", q, agg) == (
+                    IX.aggregate(whole, "storm-*", q, agg))
+        IX.index_document(loaded, make_doc(7, status="WARN"))
+        assert loaded.indices[self.NAME].doc_count == len(docs)
+        assert [d.id for d in IX.search(loaded, "storm-*", IX.Term("id", make_doc(7).id))] == [
+            make_doc(7).id]
+
     def test_old_docs_jsonl_layout_is_refused(self, tmp_path):
         path = tmp_path / self.NAME
         path.mkdir()
@@ -612,7 +633,7 @@ class TestDayPruning:
 
         full = IX.load_store(root)
         shards = list(IX._matches(full, pattern, IX.MatchAll(), time_range))
-        assert len(shards) == 2 * len(pruned.indices)
+        assert len(shards) == len(pruned.indices)
 
         for q in (IX.MatchAll(), IX.Term("status", "ERROR")):
             hits = oracle_search(docs, q, time_range)
