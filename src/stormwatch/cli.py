@@ -175,11 +175,8 @@ def cmd_ingest(args) -> int:
             raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
     # The store holds only the indices this run wrote to; until the save,
-    # the manifests on disk are those from before the run.
-    created = sorted(
-        name for name in store.indices
-        if not os.path.isfile(os.path.join(args.store, name, "manifest.json"))
-    )
+    # the indices on disk are those from before the run.
+    created = sorted(store.indices.keys() - index_store.index_names(args.store))
     index_store.save_store(store, args.store)
     shipped, indexed = counts["shipped"], counts["indexed"]
     dead, dropped = counts["dead"], counts["dropped"]

@@ -1,20 +1,19 @@
 """Day-partitioned inverted indices over pipeline documents.
 
 Indices are named `storm-<kind>-YYYY.MM.DD` and each holds one in-memory
-inverted index, its shard (text fields tokenized on non-alphanumeric
-boundaries and lowercased, keyword fields indexed verbatim, numeric fields in
-columns for range queries). A text field's postings are built on the first
-term query against that field and kept current by later upserts, so ingest
-and snapshot load never tokenize text that no query reads. Queries are an
-AST of term/boolean/range nodes; results are exact and sorted by
-(@timestamp, id). Aggregations recompute from the matching documents, so
-they are exact at this scale.
+inverted index, its shard. A write only stores the document; the first query
+that reads a field builds that field's index from the stored documents (text
+fields tokenized on non-alphanumeric boundaries and lowercased, keyword
+fields indexed verbatim, numeric fields sorted into columns), and the next
+write drops it. A process that only writes, as ingest does, never builds
+one. Queries are an AST of term/boolean/range nodes; results are exact and
+sorted by (@timestamp, id). Aggregations recompute from the matching
+documents, so they are exact at this scale.
 
 Snapshots persist one directory per index: a manifest plus the segments it
 lists. A segment is a zlib stream of column blocks (`_write_segment`), and
-loading the segments in order fills the shard from the columns without
-re-indexing their documents. The manifest is the commit point of a save;
-`index_names` lists the indices on disk by their manifests alone.
+loading upserts its documents in order. The manifest is the commit point of
+a save; `index_names` lists the indices on disk by their manifests alone.
 
 A dated index holds only documents of its own UTC day (`index_document`
 enforces it), so a time range prunes whole days: `load_store` skips the days
@@ -216,81 +215,38 @@ _DOCUMENT = itemgetter(3)
 
 
 class Shard:
-    """One shard's documents, postings and numeric columns.
+    """One shard's documents and the field indexes its queries built.
 
     `entries` maps each live document's ordinal to its (@timestamp, id,
     index name, document) tuple, so that search sorts its hits as plain
     tuples and reads the documents off them; an id is unique within an index,
-    so two tuples never compare their documents. Keyword fields and `id` get
-    postings at upsert. A text field's postings are built from `entries` by
-    its first term query; the field is then recorded in `text_built`, and
-    later upserts tokenize it too. `ranges` holds a numeric field's live
-    values in sorted order, built by its first range query and dropped by the
-    next upsert, so that a range query bisects.
+    so two tuples never compare their documents. A write only stores the
+    document (`upsert`) and drops every built field index. The first query
+    that reads a field builds its index from `entries`: `postings` for a term
+    on a string (`_terms`), `ranges` for a range or a numeric term
+    (`_column`). `Term("id", …)` reads `by_id`.
     """
 
-    __slots__ = (
-        "entries", "by_id", "postings", "numeric", "ranges", "next_ord",
-        "text_built",
-    )
+    __slots__ = ("entries", "by_id", "postings", "ranges", "next_ord")
 
     def __init__(self) -> None:
         self.entries: dict[int, tuple] = {}
         self.by_id: dict[str, int] = {}
         self.postings: dict[str, dict[str, list[int]]] = {}
-        self.numeric: dict[str, dict[int, float]] = {}
         self.ranges: dict[str, tuple[list[float], list[int], list[int]]] = {}
         self.next_ord = 0
-        self.text_built: set[str] = set()
 
-    def upsert(self, doc: Document) -> bool:
-        """Index a document; returns True when it replaced an existing id."""
-        replaced = False
+    def upsert(self, doc: Document) -> None:
+        """Store a document, replacing the one with its id."""
+        self.postings.clear()
         self.ranges.clear()
         old = self.by_id.get(doc.id)
         if old is not None:
             del self.entries[old]
-            replaced = True
         ord_ = self.next_ord
         self.next_ord = ord_ + 1
         self.entries[ord_] = (doc.fields.get("@timestamp"), doc.id, doc.index_name, doc)
         self.by_id[doc.id] = ord_
-        postings = self.postings
-        numeric = self.numeric
-        keyword_fields = KEYWORD_FIELDS
-        text_built = self.text_built
-        for key, value in doc.fields.items():
-            if value is None:
-                continue
-            tv = type(value)
-            if tv is str:
-                if key in keyword_fields:
-                    try:
-                        terms = postings[key]
-                    except KeyError:
-                        terms = postings[key] = {}
-                    try:
-                        terms[value].append(ord_)
-                    except KeyError:
-                        terms[value] = [ord_]
-                elif key in text_built:
-                    _add_tokens(postings[key], value, ord_)
-            elif tv is int or tv is float:
-                try:
-                    numeric[key][ord_] = float(value)
-                except KeyError:
-                    numeric[key] = {ord_: float(value)}
-            elif key in keyword_fields:
-                terms = postings.setdefault(key, {})
-                terms.setdefault(value, []).append(ord_)  # type: ignore[arg-type]
-        try:
-            self.postings["id"][doc.id] = [ord_]
-        except KeyError:
-            self.postings["id"] = {doc.id: [ord_]}
-        return replaced
-
-    def _live(self, ords: list[int]) -> set[int]:
-        return self.entries.keys() & ords
 
     def evaluate(self, q: Query) -> set[int]:
         if isinstance(q, MatchAll):
@@ -317,17 +273,7 @@ class Shard:
         raise StoreError(f"unknown query node: {q!r}")
 
     def _eval_range(self, q: Range) -> set[int]:
-        column = self.ranges.get(q.field)
-        if column is None:
-            col = self.numeric.get(q.field)
-            if col is None:
-                return set()
-            entries = self.entries
-            live = sorted((v, o) for o, v in col.items() if v == v and o in entries)
-            nan = [o for o, v in col.items() if v != v and o in entries]
-            column = ([v for v, _ in live], [o for _, o in live], nan)
-            self.ranges[q.field] = column
-        values, ords, nan = column
+        values, ords, nan = self._column(q.field)
         lo, hi = q.min, q.max
         # A NaN value is in every range and a NaN bound excludes nothing,
         # as with the comparisons `value < lo` and `value == lo`.
@@ -342,54 +288,71 @@ class Shard:
 
     def _eval_term(self, q: Term) -> set[int]:
         value = q.value
+        if q.field == "id":
+            ord_ = self.by_id.get(value) if type(value) is str else None
+            return set() if ord_ is None else {ord_}
         if type(value) is bool:
             return set()
         if type(value) is int or type(value) is float:
-            col = self.numeric.get(q.field)
-            if col is None:
-                return set()
             target = float(value)
-            entries = self.entries
-            return {o for o, v in col.items() if v == target and o in entries}
+            if target != target:  # NaN equals no value
+                return set()
+            values, ords, _ = self._column(q.field)
+            return set(ords[bisect_left(values, target):bisect_right(values, target)])
         if not isinstance(value, str):
             return set()
-        if q.field in KEYWORD_FIELDS or q.field == "id":
-            terms = self.postings.get(q.field)
-            if terms is None:
-                return set()
-            return self._live(terms.get(value, []))
+        terms = self._terms(q.field)
+        if q.field in KEYWORD_FIELDS:
+            return set(terms.get(value, ()))
         tokens = tokenize(value)
         if not tokens:
             return set()
-        terms = self._text_postings(q.field)
         result: set[int] | None = None
         for token in tokens:
-            hit = self._live(terms.get(token, []))
-            result = hit if result is None else result & hit
+            hit = terms.get(token, ())
+            result = set(hit) if result is None else result.intersection(hit)
             if not result:
                 return set()
         return result or set()
 
-    def _text_postings(self, field: str) -> dict[str, list[int]]:
-        """The field's token postings, built from `entries` on first use."""
-        if field in self.text_built:
-            return self.postings[field]
-        terms: dict[str, list[int]] = {}
+    def _terms(self, field: str) -> dict[str, list[int]]:
+        """The field's postings, built from `entries` on first use: a keyword
+        field's string values verbatim, any other field's tokenized."""
+        terms = self.postings.get(field)
+        if terms is not None:
+            return terms
+        terms = self.postings[field] = {}
+        keyword = field in KEYWORD_FIELDS
         for ord_, entry in self.entries.items():
-            text = entry[3].fields.get(field)
-            if type(text) is str:
-                _add_tokens(terms, text, ord_)
-        self.postings[field] = terms
-        self.text_built.add(field)
+            value = entry[3].fields.get(field)
+            if type(value) is not str:
+                continue
+            for term in (value,) if keyword else set(tokenize(value)):
+                try:
+                    terms[term].append(ord_)
+                except KeyError:
+                    terms[term] = [ord_]
         return terms
 
-
-def _add_tokens(terms: dict[str, list[int]], text: str, ord_: int) -> None:
-    for token in set(tokenize(text)):
-        try:
-            terms[token].append(ord_)
-        except KeyError:
-            terms[token] = [ord_]
+    def _column(self, field: str) -> tuple[list[float], list[int], list[int]]:
+        """The field's int and float values (bools are neither) in sorted
+        order with their ordinals, and the ordinals of its NaN values; built
+        from `entries` on first use."""
+        column = self.ranges.get(field)
+        if column is not None:
+            return column
+        pairs: list[tuple[float, int]] = []
+        nan: list[int] = []
+        for ord_, entry in self.entries.items():
+            value = entry[3].fields.get(field)
+            if type(value) is int or type(value) is float:
+                if value == value:
+                    pairs.append((float(value), ord_))
+                else:
+                    nan.append(ord_)
+        pairs.sort()
+        column = self.ranges[field] = ([v for v, _ in pairs], [o for _, o in pairs], nan)
+        return column
 
 
 class TimeIndex:
@@ -691,65 +654,35 @@ def _segment_lines(path: str) -> Iterator[bytes]:
 
 
 def _load_segment(shard: Shard, name: str, path: str) -> None:
-    """Add a segment's documents to a shard without `Shard.upsert`.
-
-    The documents must be new to the shard. The result holds what upserting
-    them in the segment's order would: entries, `by_id`, keyword and `id`
-    postings and numeric columns, with no text postings (a text field's
-    first term query builds them).
-    """
-    entries, by_id = shard.entries, shard.by_id
-    postings, numeric = shard.postings, shard.numeric
-    ord_ = shard.next_ord
+    """Upsert a segment's documents into a shard, in the segment's order."""
+    upsert = shard.upsert
     lines = _segment_lines(path)
     for header in lines:
         keys, ids = json.loads(header)
         columns = [json.loads(next(lines)) for _ in keys]
-        ords = range(ord_, ord_ + len(ids))
-        ord_ += len(ids)
-        # The value types decide the structure, as in `Shard.upsert`.
-        for key, column in zip(keys, columns):
-            keyword = key in KEYWORD_FIELDS
-            col = terms = None
-            for o, value in zip(ords, column):
-                if value is None:
-                    continue
-                tv = type(value)
-                if tv is int or tv is float:
-                    if col is None:
-                        col = numeric.setdefault(key, {})
-                    col[o] = float(value)
-                elif keyword:
-                    if terms is None:
-                        terms = postings.setdefault(key, {})
-                    try:
-                        terms[value].append(o)
-                    except KeyError:
-                        terms[value] = [o]
         rows = zip(*columns) if columns else [()] * len(ids)
-        for o, id_, values in zip(ords, ids, rows):
-            fields = dict(zip(keys, values))
-            entries[o] = (fields.get("@timestamp"), id_, name, Document(id_, fields, name))
-            by_id[id_] = o
-        postings.setdefault("id", {}).update(zip(ids, ([o] for o in ords)))
-    shard.next_ord = ord_
+        for id_, values in zip(ids, rows):
+            upsert(Document(id_, dict(zip(keys, values)), name))
 
 
 def _load_index(path: str, name: str) -> TimeIndex:
-    with open(os.path.join(path, _MANIFEST), encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    if manifest.get("format") != SNAPSHOT_FORMAT:
-        raise StoreError(
-            f"{name}: not a format-{SNAPSHOT_FORMAT} snapshot (the older docs.jsonl"
-            " layout is not read); re-ingest its logs into a fresh store"
-        )
     index = TimeIndex(name)
     try:
+        with open(os.path.join(path, _MANIFEST), encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        if type(manifest) is not dict:
+            raise ValueError("the manifest is not a JSON object")
+        if manifest.get("format") != SNAPSHOT_FORMAT:
+            raise StoreError(
+                f"{name}: not a format-{SNAPSHOT_FORMAT} snapshot (the older docs.jsonl"
+                " layout is not read); re-ingest its logs into a fresh store"
+            )
         for segment in manifest["segments"]:
             _load_segment(index.shards[0], name, os.path.join(path, segment))
-    except (zlib.error, ValueError, StopIteration) as exc:
+        doc_count = int(manifest["doc_count"])
+    except (zlib.error, ValueError, KeyError, TypeError, StopIteration) as exc:
         raise StoreError(f"snapshot corrupt for {name}: {exc!r}") from exc
-    if index.doc_count != int(manifest["doc_count"]):
+    if index.doc_count != doc_count:
         raise StoreError(f"snapshot corrupt for {name}: doc_count mismatch")
     return index
 

@@ -279,6 +279,14 @@ class TestQueryAndAgg:
         assert code == 2
         assert stderr.startswith(f"error: {name}: not a format-2 snapshot")
 
+        manifest = {"format": 2, "name": name, "doc_count": 1, "segments": [segment.name]}
+        for damaged in (json.dumps(manifest)[:-9], json.dumps([manifest]),
+                        json.dumps({k: v for k, v in manifest.items() if k != "segments"})):
+            (root / name / "manifest.json").write_text(damaged)
+            code, _, stderr = run(capsys, "query", "--store", str(root), "--index", "storm-*")
+            assert code == 2
+            assert stderr.startswith(f"error: snapshot corrupt for {name}")
+
 
 class TestReportCommand:
     def test_report_files_match_aggregate_calls(self, cli_store, tmp_path, capsys):
