@@ -2,8 +2,8 @@
 
 Subcommands: loggen, ingest, query, agg, report, ml detect, ml forecast,
 index rm. Exit codes: 0 success, 1 usage or configuration error, 2 data
-error (dead-letter fraction above threshold, unreadable or corrupt store),
-3 internal error.
+error (dead-letter fraction above threshold, unreadable or corrupt store or
+registry), 3 internal error.
 """
 
 from __future__ import annotations
@@ -151,6 +151,8 @@ def ingest(pipe, store, ship, paths, dead_file) -> dict[str, int]:
 
 
 def cmd_ingest(args) -> int:
+    if args.batch_size < 1:
+        raise UsageError("--batch-size must be >= 1")
     for path in args.paths:
         if not os.path.exists(path):
             raise UsageError(f"no such file: {path}")
@@ -339,7 +341,7 @@ def _job_params(job) -> anomaly.DetectorParams:
             k_bound=float(job.get("k_bound", 3.0)),
             level_cutpoints=cutpoints,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad job config: {exc}") from exc
 
 
@@ -375,6 +377,10 @@ def cmd_ml_forecast(args) -> int:
     if args.horizon < 1:
         raise UsageError("forecast horizon must be >= 1")
     job = _load_job(args.job)
+    try:
+        beta = float(job.get("beta", 0.05))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad job config: {exc}") from exc
     series = _job_series(args.store, job)
     result = anomaly.detect(series, _job_params(job))
     if result.model.in_warmup:
@@ -385,7 +391,7 @@ def cmd_ml_forecast(args) -> int:
         args.horizon,
         start_ms=horizon_start,
         span_seconds=series.span_seconds,
-        beta=float(job.get("beta", 0.05)),
+        beta=beta,
     )
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "forecast.csv"), anomaly.forecast_to_csv(points))
@@ -519,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, index_store.StoreError) as exc:
+    except (OSError, index_store.StoreError, shipper.ShipperError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -165,14 +165,6 @@ Event = (
     | BackendMetricsEvent
 )
 
-KIND_FOR_EVENT = {
-    FrontendEvent: LogKind.FRONTEND,
-    MonitoringEvent: LogKind.MONITORING,
-    BackendEvent: LogKind.BACKEND,
-    HeartbeatEvent: LogKind.HEARTBEAT,
-    BackendMetricsEvent: LogKind.BACKEND_METRICS,
-}
-
 _ROTATION_RE = re.compile(r"^(?P<stem>.+?\.log)(?:\.\d+|[.-]\d{4}-\d{2}-\d{2})*$")
 
 _SURL_CLAUSE_RE = re.compile(r" surl='([^']*)'")

@@ -522,6 +522,8 @@ def aggregate(
     """Exact aggregation over the query's result set."""
     docs = _collect(store, indices, q, time_range)
     if isinstance(agg, TermsAgg):
+        if agg.top_n < 1:
+            raise AggregationError("top_n must be >= 1")
         counts: dict[object, int] = {}
         for doc in docs:
             value = doc.fields.get(agg.field)
@@ -531,6 +533,8 @@ def aggregate(
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
         return ranked[: agg.top_n]
     if isinstance(agg, DateHistogramAgg):
+        if agg.interval_seconds < 1:
+            raise AggregationError("interval_seconds must be >= 1")
         span = agg.interval_seconds * 1000
         buckets: dict[int, int] = {}
         for doc in docs:

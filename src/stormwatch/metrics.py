@@ -55,16 +55,21 @@ class MetricSeries:
 
 
 def metric_spec_from_json(obj: dict) -> MetricSpec:
-    detector = obj.get("detector", {"kind": "count"})
-    if isinstance(detector, str):
-        detector = {"kind": detector}
-    return MetricSpec(
-        indices=obj["indices"],
-        filter=index_store.query_from_json(obj.get("filter", {"match_all": {}})),
-        detector=detector.get("kind", "count"),
-        detector_field=detector.get("field"),
-        bucket_span_seconds=int(obj.get("bucket_span_seconds", 60)),
-    )
+    """Build a spec from its JSON object; a value of the wrong type raises
+    MetricError."""
+    try:
+        detector = obj.get("detector", {"kind": "count"})
+        if isinstance(detector, str):
+            detector = {"kind": detector}
+        return MetricSpec(
+            indices=obj["indices"],
+            filter=index_store.query_from_json(obj.get("filter", {"match_all": {}})),
+            detector=detector.get("kind", "count"),
+            detector_field=detector.get("field"),
+            bucket_span_seconds=int(obj.get("bucket_span_seconds", 60)),
+        )
+    except (AttributeError, TypeError) as exc:
+        raise MetricError(f"bad metric: {exc}") from exc
 
 
 def build_series(store: Store, spec: MetricSpec, from_ms: int, to_ms: int) -> MetricSeries:

@@ -2,10 +2,12 @@
 
 A pipeline is an ordered stage list per log kind. Stages are grok (pattern
 extraction), date (timestamp resolution), geo (coordinates from client IP),
-mutate (rename/remove/add) and drop (predicate). A record that fails a stage
-becomes a DeadLetter carrying the stage name and reason; a dropped record
-produces neither output and is counted by the caller. Every surviving record
-is routed to the day-partitioned index named after its kind and UTC day.
+mutate (rename/remove/add) and drop (predicate). Each stage is a function
+that `load_pipeline` validates and builds once from its config entry. A
+record that fails a stage becomes a DeadLetter carrying the stage name and
+reason; a dropped record produces neither output and is counted by the
+caller. Every surviving record is routed to the day-partitioned index named
+after its kind and UTC day.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import hashlib
 import ipaddress
 import json
 import os
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from . import patterns
 from .codecs import GRAMMARS, LogKind
@@ -144,62 +147,31 @@ def load_geo_table(csv_text: str) -> GeoTable:
     return GeoTable(rows)
 
 
-@dataclass(slots=True)
-class GrokStage:
-    pattern: patterns.CompiledPattern
-
-
-@dataclass(slots=True)
-class DateStage:
-    source: str
-    formats: tuple[str, ...]
-    base_day_ms: int
-
-
-@dataclass(slots=True)
-class GeoStage:
-    source: str
-    table: GeoTable
-
-
-@dataclass(slots=True)
-class MutateStage:
-    renames: tuple[tuple[str, str], ...]
-    removes: tuple[str, ...]
-    adds: tuple[tuple[str, object], ...]
-
-
-@dataclass(slots=True)
-class DropStage:
-    field: str
-    equals: object
-
-
-Stage = GrokStage | DateStage | GeoStage | MutateStage | DropStage
+# A stage takes the document fields and the record. It returns None to pass
+# the record on, DROP when it consumes the record, or a (stage, reason) pair
+# that dead-letters it.
+Stage = Callable[[dict, RawRecord], object]
+DROP = object()
 
 
 @dataclass
 class Pipeline:
     routes: dict[LogKind, list[Stage]]
-    # Rolling date state per source file; records from one source must be
-    # processed in order by a single worker (see the delivery contract).
-    day_contexts: dict[tuple[str, str], DayContext] = field(default_factory=dict)
-
-    def context_for(self, stage: DateStage, source: str) -> DayContext:
-        key = (source, stage.source)
-        ctx = self.day_contexts.get(key)
-        if ctx is None:
-            ctx = DayContext(stage.base_day_ms)
-            self.day_contexts[key] = ctx
-        return ctx
+    # Rolling date state per (source file, date field), shared with the date
+    # stages; records from one source must be processed in order by a single
+    # worker (see the delivery contract).
+    day_contexts: dict[tuple[str, str], DayContext]
 
 
 def _build_stage(
     spec: dict,
     library: patterns.PatternLibrary,
     geo_table: GeoTable,
+    day_contexts: dict[tuple[str, str], DayContext],
     where: str,
-) -> Stage:
+) -> tuple[Stage, bool]:
+    """Validate one stage config; return its function and whether it sets
+    @timestamp."""
     stype = spec.get("type")
     if stype == "grok":
         expr = spec.get("pattern")
@@ -209,12 +181,20 @@ def _build_stage(
             compiled = patterns.compile(library, expr)
         except patterns.PatternError as exc:
             raise PipelineConfigError(f"{where}: {exc}") from exc
-        clash = RESERVED_FIELDS.intersection(name for name, _ in compiled.captures)
+        names = {name for name, _ in compiled.captures}
+        clash = RESERVED_FIELDS.intersection(names)
         if clash:
             raise PipelineConfigError(
                 f"{where}: captures shadow shipping metadata: {sorted(clash)}"
             )
-        return GrokStage(pattern=compiled)
+
+        def grok(fields: dict, record: RawRecord) -> object:
+            captures = patterns.match_line(compiled, record.line)
+            if captures is None:
+                return ("grok", "pattern did not match")
+            fields.update(captures)
+
+        return grok, "@timestamp" in names
     if stype == "date":
         source = spec.get("source", "ts")
         formats = tuple(spec.get("formats", ["iso8601"]))
@@ -228,33 +208,68 @@ def _build_stage(
             base_day_ms = parse_date_ms(base)
         except ValueError as exc:
             raise PipelineConfigError(f"{where}: bad base_date: {exc}") from exc
-        return DateStage(source=source, formats=formats, base_day_ms=base_day_ms)
+
+        def date(fields: dict, record: RawRecord) -> object:
+            raw = fields.get(source)
+            if not isinstance(raw, str):
+                return ("date", f"missing date source field {source!r}")
+            for fmt in formats:
+                try:
+                    if fmt == "iso8601":
+                        fields["@timestamp"] = parse_iso8601_ms(raw)
+                    else:
+                        tod = parse_time_of_day_ms(raw)
+                        key = (record.source, source)
+                        ctx = day_contexts.get(key)
+                        if ctx is None:
+                            ctx = day_contexts[key] = DayContext(base_day_ms)
+                        fields["@timestamp"] = ctx.resolve(tod)
+                except ValueError as exc:
+                    reason = str(exc)
+                    continue
+                del fields[source]
+                return None
+            return ("date", reason)  # formats is never empty
+
+        return date, True
     if stype == "geo":
         source = spec.get("source")
         if not isinstance(source, str) or not source:
             raise PipelineConfigError(f"{where}: geo stage needs a source field")
-        return GeoStage(source=source, table=geo_table)
+
+        def geo(fields: dict, record: RawRecord) -> object:
+            ip = fields.get(source)
+            if isinstance(ip, str):
+                hit = geo_table.lookup(ip)
+                if hit is not None:
+                    fields["geo_lat"], fields["geo_lon"], fields["geo_label"] = hit
+
+        return geo, False
     if stype == "mutate":
-        return MutateStage(
-            renames=tuple((k, v) for k, v in spec.get("rename", {}).items()),
-            removes=tuple(spec.get("remove", [])),
-            adds=tuple((k, v) for k, v in spec.get("add", {}).items()),
-        )
+        renames = tuple(spec.get("rename", {}).items())
+        removes = tuple(spec.get("remove", []))
+        adds = tuple(spec.get("add", {}).items())
+
+        def mutate(fields: dict, record: RawRecord) -> object:
+            for old, new in renames:
+                if old in fields:
+                    fields[new] = fields.pop(old)
+            for name in removes:
+                fields.pop(name, None)
+            for name, value in adds:
+                fields[name] = value
+
+        return mutate, False
     if stype == "drop":
         if "field" not in spec or "equals" not in spec:
             raise PipelineConfigError(f"{where}: drop stage needs field and equals")
-        return DropStage(field=spec["field"], equals=spec["equals"])
+        name, equals = spec["field"], spec["equals"]
+
+        def drop(fields: dict, record: RawRecord) -> object:
+            return DROP if fields.get(name) == equals else None
+
+        return drop, False
     raise PipelineConfigError(f"{where}: unknown stage type {stype!r}")
-
-
-def _route_sets_timestamp(stages: list[Stage]) -> bool:
-    for stage in stages:
-        if isinstance(stage, DateStage):
-            return True
-        if isinstance(stage, GrokStage):
-            if any(name == "@timestamp" for name, _ in stage.pattern.captures):
-                return True
-    return False
 
 
 def load_pipeline(config_text: str) -> Pipeline:
@@ -280,49 +295,28 @@ def load_pipeline(config_text: str) -> Pipeline:
 
     geo_table = load_geo_table(config.get("geo_table_csv", default_geo_csv()))
 
-    routes: dict[LogKind, list[Stage]] = {}
+    pipeline = Pipeline(routes={}, day_contexts={})
     for kind_token, stage_specs in config["routes"].items():
         try:
             kind = LogKind(kind_token)
         except ValueError as exc:
             raise PipelineConfigError(f"unknown route kind {kind_token!r}") from exc
-        stages = [
-            _build_stage(spec, library, geo_table, f"route {kind_token} stage {i}")
+        built = [
+            _build_stage(spec, library, geo_table, pipeline.day_contexts,
+                         f"route {kind_token} stage {i}")
             for i, spec in enumerate(stage_specs)
         ]
-        if not _route_sets_timestamp(stages):
+        if not any(sets_timestamp for _, sets_timestamp in built):
             raise PipelineConfigError(
                 f"route {kind_token}: no stage sets @timestamp before routing"
             )
-        routes[kind] = stages
-    return Pipeline(routes=routes)
+        pipeline.routes[kind] = [stage for stage, _ in built]
+    return pipeline
 
 
 def record_id(record: RawRecord) -> str:
     key = f"{record.source}\x00{record.offset}\x00{record.line}"
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:40]
-
-
-def _apply_date(
-    pipeline: Pipeline, stage: DateStage, fields: dict, source: str
-) -> str | None:
-    raw = fields.get(stage.source)
-    if not isinstance(raw, str):
-        return f"missing date source field {stage.source!r}"
-    reason = None
-    for fmt in stage.formats:
-        try:
-            if fmt == "iso8601":
-                fields["@timestamp"] = parse_iso8601_ms(raw)
-            else:
-                tod = parse_time_of_day_ms(raw)
-                fields["@timestamp"] = pipeline.context_for(stage, source).resolve(tod)
-        except ValueError as exc:
-            reason = str(exc)
-            continue
-        del fields[stage.source]
-        return None
-    return reason or "no date format matched"
 
 
 def process(pipeline: Pipeline, record: RawRecord) -> Document | DeadLetter | None:
@@ -336,48 +330,18 @@ def process(pipeline: Pipeline, record: RawRecord) -> Document | DeadLetter | No
     route = pipeline.routes.get(record.kind)
     if route is None:
         return DeadLetter(record, "route", f"no route for kind {record.kind.value}")
-    if route and type(route[0]) is GrokStage:
-        # Common shape: grok leads, so its capture dict can seed the document.
-        fields = patterns.match_line(route[0].pattern, record.line)
-        if fields is None:
-            return DeadLetter(record, "grok", "pattern did not match")
-        rest = route[1:]
-    else:
-        fields = {}
-        rest = route
-    fields["message"] = record.line
-    fields["beat.name"] = record.beat_name
-    fields["offset"] = record.offset
-    fields["type"] = record.doc_type
-    fields["kind"] = record.kind.value
-    fields["source"] = record.source
-    for stage in rest:
-        if isinstance(stage, GrokStage):
-            result = patterns.match_line(stage.pattern, record.line)
-            if result is None:
-                return DeadLetter(record, "grok", "pattern did not match")
-            fields.update(result)
-        elif isinstance(stage, DateStage):
-            failure = _apply_date(pipeline, stage, fields, record.source)
-            if failure is not None:
-                return DeadLetter(record, "date", failure)
-        elif isinstance(stage, GeoStage):
-            ip = fields.get(stage.source)
-            if isinstance(ip, str):
-                hit = stage.table.lookup(ip)
-                if hit is not None:
-                    fields["geo_lat"], fields["geo_lon"], fields["geo_label"] = hit
-        elif isinstance(stage, MutateStage):
-            for old, new in stage.renames:
-                if old in fields:
-                    fields[new] = fields.pop(old)
-            for name in stage.removes:
-                fields.pop(name, None)
-            for name, value in stage.adds:
-                fields[name] = value
-        else:  # DropStage
-            if fields.get(stage.field) == stage.equals:
-                return None
+    fields = {
+        "message": record.line,
+        "beat.name": record.beat_name,
+        "offset": record.offset,
+        "type": record.doc_type,
+        "kind": record.kind.value,
+        "source": record.source,
+    }
+    for stage in route:
+        outcome = stage(fields, record)
+        if outcome is not None:
+            return None if outcome is DROP else DeadLetter(record, *outcome)
     timestamp = fields["@timestamp"]
     index_name = f"storm-{record.kind.value}-{day_name(timestamp)}"
     return Document(id=record_id(record), fields=fields, index_name=index_name)

@@ -151,7 +151,7 @@ def load_registry(store: str) -> TailRegistry:
             )
             for path, item in payload.items()
         }
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise RegistryCorrupt(f"cannot load registry {store!r}: {exc}") from exc
     return TailRegistry(entries)
 

@@ -77,6 +77,34 @@ class TestIngestCommand:
         assert code == 1
         assert "no such file" in stderr
 
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_batch_size_below_one_is_usage_error(self, small_corpus, tmp_path, capsys, size):
+        store_dir = tmp_path / "store"
+        code, _, stderr = run(
+            capsys, "ingest", "--paths", *corpus_paths(small_corpus["dir"]),
+            "--store", str(store_dir), "--batch-size", size,
+        )
+        assert code == 1
+        assert stderr.startswith("error: --batch-size must be >= 1")
+        assert not store_dir.exists()
+
+    @pytest.mark.parametrize(
+        "registry",
+        ['{"a.log": {"offset": 1', "[]", '{"a.log": []}', '{"a.log": "x"}', "7"],
+        ids=["truncated", "list", "object-of-lists", "object-of-strings", "number"],
+    )
+    def test_unreadable_registry_is_data_error(self, small_corpus, tmp_path, capsys, registry):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        (store_dir / "registry.json").write_text(registry, encoding="utf-8")
+        code, _, stderr = run(
+            capsys, "ingest", "--paths", *corpus_paths(small_corpus["dir"]),
+            "--store", str(store_dir),
+        )
+        assert code == 2
+        assert stderr.startswith("error: cannot load registry")
+        assert sorted(os.listdir(store_dir)) == ["registry.json"]
+
     def test_corrupted_corpus_exceeds_threshold(self, small_corpus, tmp_path, capsys):
         victim = tmp_path / "storm-backend.log"
         src = os.path.join(small_corpus["dir"], "storm-backend.log")
@@ -288,7 +316,35 @@ class TestQueryAndAgg:
             assert stderr.startswith(f"error: snapshot corrupt for {name}")
 
 
+    @pytest.mark.parametrize(
+        "agg,message",
+        [
+            ({"date_histogram": {"interval_seconds": 0}}, "interval_seconds must be >= 1"),
+            ({"terms": {"field": "status", "top_n": -1}}, "top_n must be >= 1"),
+            ({"terms": {"field": "status", "top_n": 0}}, "top_n must be >= 1"),
+        ],
+    )
+    def test_bad_aggregation_parameter_is_usage_error(self, cli_store, capsys, agg, message):
+        code, stdout, stderr = run(
+            capsys, "agg", "--store", cli_store, "--index", "storm-backend-*",
+            "--agg", json.dumps(agg),
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith(f"error: {message}")
+
+
 class TestReportCommand:
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--interval", "0", "interval_seconds"), ("--top", "0", "top_n")],
+    )
+    def test_bad_parameter_is_usage_error(self, cli_store, tmp_path, capsys, flag, value, message):
+        code, _, stderr = run(
+            capsys, "report", "--store", cli_store, "--out", str(tmp_path / "r"), flag, value,
+        )
+        assert code == 1
+        assert stderr.startswith(f"error: {message} must be >= 1")
+
     def test_report_files_match_aggregate_calls(self, cli_store, tmp_path, capsys):
         out = str(tmp_path / "reports")
         code, _, _ = run(capsys, "report", "--store", cli_store, "--out", out)
@@ -426,6 +482,33 @@ class TestMlCommands:
         code, _, _ = run(capsys, "ml", "detect", "--store", cli_store,
                          "--job", str(bad), "--out", str(tmp_path / "o"))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command,change",
+        [
+            ("detect", {"thresholds": 5}),
+            ("detect", {"metric": "x"}),
+            ("detect", {"metric": {"indices": "storm-*", "bucket_span_seconds": None}}),
+            ("detect", {"metric": {"indices": "storm-*", "detector": ["mean"]}}),
+            ("forecast", {"beta": None}),
+            ("forecast", {"beta": "wide"}),
+        ],
+        ids=["thresholds-int", "metric-str", "span-null", "detector-list", "beta-null",
+             "beta-str"],
+    )
+    def test_wrongly_typed_job_value_is_usage_error(
+        self, cli_store, small_corpus, tmp_path, capsys, command, change
+    ):
+        job_path = write_job(tmp_path / "job.json", small_corpus["truth"])
+        job = json.loads(open(job_path, encoding="utf-8").read())
+        job.update(change)
+        (tmp_path / "job.json").write_text(json.dumps(job), encoding="utf-8")
+        extra = ["--horizon", "3"] if command == "forecast" else []
+        code, _, stderr = run(capsys, "ml", command, "--store", cli_store, "--job", job_path,
+                              "--out", str(tmp_path / "o"), *extra)
+        assert code == 1
+        assert stderr.startswith("error: bad job config: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestIndexRm:

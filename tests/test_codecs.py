@@ -8,9 +8,17 @@ from helpers import EVENT_GENERATORS
 from stormwatch import codecs as C
 from stormwatch.timeutil import DayContext, day_start_ms
 
+KIND_FOR_EVENT = {
+    C.FrontendEvent: C.LogKind.FRONTEND,
+    C.MonitoringEvent: C.LogKind.MONITORING,
+    C.BackendEvent: C.LogKind.BACKEND,
+    C.HeartbeatEvent: C.LogKind.HEARTBEAT,
+    C.BackendMetricsEvent: C.LogKind.BACKEND_METRICS,
+}
+
 
 def roundtrip(event):
-    kind = C.KIND_FOR_EVENT[type(event)]
+    kind = KIND_FOR_EVENT[type(event)]
     line = C.render_line(event)
     ctx = DayContext(day_start_ms(event.timestamp))
     return C.parse_line(kind, line, ctx)

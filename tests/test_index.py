@@ -286,6 +286,21 @@ class TestAggregations:
         with pytest.raises(IX.AggregationError):
             IX.aggregate(store, "storm-*", IX.MatchAll(), IX.StatsAgg("status"))
 
+    @pytest.mark.parametrize(
+        "agg,message",
+        [
+            (IX.TermsAgg("status", 0), "top_n must be >= 1"),
+            (IX.TermsAgg("status", -1), "top_n must be >= 1"),
+            (IX.DateHistogramAgg(0), "interval_seconds must be >= 1"),
+            (IX.DateHistogramAgg(-60), "interval_seconds must be >= 1"),
+            (IX.GeoGridAgg(0.0), "cell_degrees must be positive"),
+        ],
+    )
+    def test_parameter_out_of_range_errors(self, store_and_docs, agg, message):
+        store, _ = store_and_docs
+        with pytest.raises(IX.AggregationError, match=message):
+            IX.aggregate(store, "storm-*", IX.MatchAll(), agg)
+
     def test_stats_empty(self):
         result = IX.aggregate(IX.Store(), "storm-*", IX.MatchAll(), IX.StatsAgg("x"))
         assert result == {"count": 0, "min": None, "max": None, "mean": None, "sum": 0.0}

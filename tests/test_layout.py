@@ -1,6 +1,8 @@
-"""Every top-level function and class in `src/stormwatch/` has a user.
+"""Every top-level function, class and constant in `src/stormwatch/` has a user.
 
-A user is a reference by name, outside the definition itself, anywhere in
+A constant is a module-level assignment to a plain name; dunder names such
+as `__all__` are skipped. A user is a reference by name, outside the
+definition itself, anywhere in
 the code that ships: `src/`, `scripts/` and `perfbench/` (their tests do
 not count). Attribute access, imports and strings (as in a `getattr` or a
 tracer patching a module attribute) all count. Matching is by bare name,
@@ -22,12 +24,30 @@ EXEMPT = {
 }
 
 
-def _definitions() -> dict[str, ast.AST]:
+def _defined_names(node: ast.AST) -> list[str]:
+    """The names a top-level statement defines, dunders aside."""
+    if isinstance(node, DEFINITIONS):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        target.id for target in targets
+        if isinstance(target, ast.Name)
+        and not (target.id.startswith("__") and target.id.endswith("__"))
+    ]
+
+
+def _definitions() -> dict[str, str]:
+    """Qualified name -> bare name of every top-level definition."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, DEFINITIONS):
-                found[f"{path.stem}.{node.name}"] = node
+            for name in _defined_names(node):
+                found[f"{path.stem}.{name}"] = name
     return found
 
 
@@ -41,8 +61,8 @@ def _referenced_names() -> set[str]:
             own = set()
             if path.parent == PACKAGE:
                 for node in tree.body:
-                    if isinstance(node, DEFINITIONS):
-                        own.update((id(sub), node.name) for sub in ast.walk(node))
+                    for defined in _defined_names(node):
+                        own.update((id(sub), defined) for sub in ast.walk(node))
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -63,8 +83,8 @@ def test_no_definition_is_used_only_by_tests():
     used = _referenced_names()
     unused = [
         qualified
-        for qualified, node in _definitions().items()
-        if node.name not in used and qualified not in EXEMPT
+        for qualified, name in _definitions().items()
+        if name not in used and qualified not in EXEMPT
     ]
     assert unused == [], f"defined in src/ but used only by tests, or not at all: {unused}"
 
@@ -73,5 +93,5 @@ def test_exemptions_are_current():
     definitions = _definitions()
     used = _referenced_names()
     stale = [name for name in sorted(EXEMPT) if name not in definitions
-             or definitions[name].name in used]
+             or definitions[name] in used]
     assert stale == [], f"exempt but deleted or now used, drop the exemption: {stale}"

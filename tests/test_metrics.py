@@ -47,6 +47,18 @@ class TestMetricSpec:
         }
         assert M.metric_spec_from_json(obj) == spec
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            "storm-*",
+            {"indices": "storm-*", "bucket_span_seconds": None},
+            {"indices": "storm-*", "detector": ["mean"]},
+        ],
+    )
+    def test_wrongly_typed_json_is_metric_error(self, obj):
+        with pytest.raises(M.MetricError, match="bad metric"):
+            M.metric_spec_from_json(obj)
+
 
 class TestBuildSeries:
     def test_count_of_three_in_one_bucket(self):

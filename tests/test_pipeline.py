@@ -9,7 +9,7 @@ from stormwatch import codecs as C
 from stormwatch import pipeline as PL
 from stormwatch.codecs import LogKind
 from stormwatch.shipper import RawRecord
-from stormwatch.timeutil import DayContext, day_start_ms, format_iso8601_ms
+from stormwatch.timeutil import DayContext, day_start_ms, format_iso8601_ms, parse_date_ms
 
 BASE = "2024-03-01"
 
@@ -92,6 +92,102 @@ class TestLoadPipeline:
 
     def test_default_config_loads(self, default_pipeline):
         assert set(default_pipeline.routes) == set(LogKind)
+
+    @pytest.mark.parametrize(
+        "stage,message",
+        [
+            ({"type": "grok"}, "grok stage needs a pattern"),
+            ({"type": "date", "formats": ["rfc822"]}, "unknown date format 'rfc822'"),
+            ({"type": "date", "formats": []}, "date stage needs formats"),
+            ({"type": "date", "base_date": "03/01/2024"}, "bad base_date"),
+            ({"type": "geo"}, "geo stage needs a source field"),
+            ({"type": "drop", "field": "status"}, "drop stage needs field and equals"),
+        ],
+    )
+    def test_bad_stage_names_route_and_index(self, stage, message):
+        config = {"routes": {"backend": [{"type": "date", "source": "ts"}, stage]}}
+        with pytest.raises(PL.PipelineConfigError, match=f"route backend stage 1: {message}"):
+            PL.load_pipeline(json.dumps(config))
+
+
+# A user route that reaches every stage option the stock config leaves alone.
+CUSTOM_CONFIG = {
+    "routes": {
+        "backend": [
+            {"type": "grok", "pattern": "^%{NOTSPACE:ts} %{WORD:level} n=%{INT:n}"},
+            {"type": "grok", "pattern": "user=%{WORD:user} host=%{WORD:host}"},
+            {"type": "date", "source": "ts", "formats": ["time-of-day", "iso8601"],
+             "base_date": BASE},
+            {"type": "mutate", "rename": {"level": "status", "absent": "never"},
+             "remove": ["host", "absent"], "add": {"site": "cnaf", "tier": 1}},
+            {"type": "drop", "field": "status", "equals": "TRACE"},
+            {"type": "drop", "field": "n", "equals": 0},
+        ],
+        "heartbeat": [{"type": "date", "source": "ts", "formats": ["iso8601"]}],
+    }
+}
+
+
+class TestCustomRoute:
+    @pytest.fixture
+    def pipe(self):
+        return PL.load_pipeline(json.dumps(CUSTOM_CONFIG))
+
+    @staticmethod
+    def run(pipe, line, source="storm-backend.log", offset=0, kind=LogKind.BACKEND):
+        return PL.process(pipe, RawRecord(line, source, offset, "be01", "log", kind))
+
+    def test_second_grok_merges_and_mutate_applies(self, pipe):
+        line = "12:00:00.250 INFO n=7 user=alice host=db1"
+        doc = self.run(pipe, line, offset=42)
+        assert doc.fields == {
+            "@timestamp": parse_date_ms(BASE) + 12 * 3_600_000 + 250,
+            "status": "INFO", "n": 7, "user": "alice", "site": "cnaf", "tier": 1,
+            "message": line, "beat.name": "be01", "offset": 42, "type": "log",
+            "kind": "backend", "source": "storm-backend.log",
+        }
+        assert doc.index_name == "storm-backend-2024.03.01"
+
+    def test_second_grok_miss_is_a_grok_dead_letter(self, pipe):
+        out = self.run(pipe, "12:00:00.250 INFO n=7 user=alice")
+        assert (out.stage, out.reason) == ("grok", "pattern did not match")
+
+    def test_date_formats_tried_in_order(self, pipe):
+        doc = self.run(pipe, "2024-03-05T10:00:00.000Z INFO n=1 user=a host=b")
+        assert doc.index_name == "storm-backend-2024.03.05"
+        assert "ts" not in doc.fields
+
+    def test_last_date_error_is_the_reason(self, pipe):
+        out = self.run(pipe, "garbage INFO n=1 user=a host=b")
+        assert isinstance(out, PL.DeadLetter)
+        assert (out.stage, out.reason) == ("date", "not an ISO-8601 timestamp: 'garbage'")
+
+    def test_drop_on_string_and_on_int(self, pipe):
+        assert self.run(pipe, "12:00:00.000 TRACE n=3 user=a host=b") is None
+        assert self.run(pipe, "12:00:00.000 INFO n=0 user=a host=b") is None
+        assert isinstance(self.run(pipe, "12:00:00.000 INFO n=1 user=a host=b"), PL.Document)
+
+    def test_route_without_grok_has_no_date_source(self, pipe):
+        out = self.run(pipe, "anything", source="heartbeat.log", kind=LogKind.HEARTBEAT)
+        assert (out.stage, out.reason) == ("date", "missing date source field 'ts'")
+
+    def test_kind_without_route(self, pipe):
+        out = self.run(pipe, "anything", source="monitoring.log", kind=LogKind.MONITORING)
+        assert (out.stage, out.reason) == ("route", "no route for kind monitoring")
+
+    def test_interleaved_sources_roll_over_midnight_apart(self, pipe):
+        steps = [
+            ("a.log", "23:59:00.000", "2024.03.01"),
+            ("b.log", "23:58:00.000", "2024.03.01"),
+            ("a.log", "00:01:00.000", "2024.03.02"),
+            ("b.log", "23:59:30.000", "2024.03.01"),
+            ("b.log", "00:02:00.000", "2024.03.02"),
+            ("a.log", "23:00:00.000", "2024.03.02"),
+        ]
+        for offset, (source, tod, day) in enumerate(steps):
+            doc = self.run(pipe, f"{tod} INFO n=1 user=a host=b", source=source, offset=offset)
+            assert doc.index_name == f"storm-backend-{day}", (source, tod)
+        assert {key[0] for key in pipe.day_contexts} == {"a.log", "b.log"}
 
 
 class TestProcess:
