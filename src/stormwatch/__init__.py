@@ -1,5 +1,3 @@
 """Log analytics for grid-storage services: parse, index, detect, generate."""
 
 __version__ = "0.1.0"
-
-from .codecs import LogKind  # noqa: F401

@@ -15,8 +15,8 @@ import sys
 import time
 from collections.abc import Iterator
 
-from . import anomaly, index as index_store, loggen, metrics, pipeline, shipper
-from .codecs import UnknownLogKind
+# Each command imports the layers it runs, other than the store, when it runs.
+from . import index as index_store
 from .timeutil import format_iso8601_ms, parse_date_ms, parse_iso8601_ms
 
 EXIT_OK = 0
@@ -47,6 +47,7 @@ def _parse_when(text: str) -> int:
 
 
 def _parse_anomaly(text: str) -> loggen.AnomalySpec:
+    from . import loggen
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise UsageError(f"expected kind:start:end[:magnitude], got {text!r}")
@@ -106,6 +107,7 @@ def _write(path: str, content: str) -> None:
 
 
 def cmd_loggen(args) -> int:
+    from . import loggen
     workload = loggen.WorkloadSpec(
         seed=args.seed,
         duration_seconds=args.duration,
@@ -128,6 +130,7 @@ def ingest(pipe, store, ship, paths, dead_file) -> dict[str, int]:
     is checkpointed after every batch. Returns the shipped, indexed, dead and
     dropped record counts.
     """
+    from . import pipeline
     shipped = indexed = dead = dropped = 0
     for path in paths:
         while True:
@@ -151,6 +154,7 @@ def ingest(pipe, store, ship, paths, dead_file) -> dict[str, int]:
 
 
 def cmd_ingest(args) -> int:
+    from . import codecs, pipeline, shipper
     if args.batch_size < 1:
         raise UsageError("--batch-size must be >= 1")
     for path in args.paths:
@@ -173,7 +177,7 @@ def cmd_ingest(args) -> int:
     with open(dead_path, "a", encoding="utf-8") as dead_file:
         try:
             counts = ingest(pipe, store, ship, args.paths, dead_file)
-        except UnknownLogKind as exc:
+        except codecs.UnknownLogKind as exc:
             raise UsageError(str(exc)) from exc
     elapsed = time.perf_counter() - started
     # The store holds only the indices this run wrote to; until the save,
@@ -263,6 +267,11 @@ def _report_csv_jsonl(out_dir: str, name: str, header: list[str], rows: list[lis
 
 
 def cmd_report(args) -> int:
+    for name, value in (("interval_seconds", args.interval), ("top_n", args.top)):
+        if value < 1:
+            raise UsageError(f"{name} must be >= 1")
+    if args.cell <= 0:
+        raise UsageError("cell_degrees must be positive")
     time_range = _time_range(args)
     store = index_store.load_store(args.store, time_range=time_range)
     os.makedirs(args.out, exist_ok=True)
@@ -315,6 +324,7 @@ def _load_job(path: str) -> dict:
 
 def _job_series(root: str, job) -> metrics.MetricSeries:
     """Load the job's indices over its [from, to) and build its series."""
+    from . import metrics
     try:
         spec = metrics.metric_spec_from_json(job["metric"])
         from_ms = _parse_when(str(job["from"]))
@@ -331,6 +341,7 @@ def _job_series(root: str, job) -> metrics.MetricSeries:
 
 
 def _job_params(job) -> anomaly.DetectorParams:
+    from . import anomaly
     try:
         cutpoints = tuple(job.get("thresholds", anomaly.LEVEL_CUTPOINTS))
         if len(cutpoints) != 4 or sorted(cutpoints) != list(cutpoints):
@@ -346,6 +357,7 @@ def _job_params(job) -> anomaly.DetectorParams:
 
 
 def cmd_ml_detect(args) -> int:
+    from . import anomaly, metrics
     job = _load_job(args.job)
     series = _job_series(args.store, job)
     result = anomaly.detect(series, _job_params(job))
@@ -374,6 +386,7 @@ def cmd_ml_detect(args) -> int:
 
 
 def cmd_ml_forecast(args) -> int:
+    from . import anomaly
     if args.horizon < 1:
         raise UsageError("forecast horizon must be >= 1")
     job = _load_job(args.job)
@@ -505,32 +518,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _exit_code(exc: Exception) -> int:
+    """The exit code for an exception that a command raised. Its modules are
+    imported on this error path only; each layer's config error is a ValueError."""
+    from . import anomaly, shipper
+    if isinstance(exc, (UsageError, ValueError, index_store.MalformedPattern,
+                        index_store.AggregationError, anomaly.WarmupError)):
+        return EXIT_USAGE
+    if isinstance(exc, (OSError, index_store.StoreError, shipper.ShipperError)):
+        return EXIT_DATA
+    return EXIT_INTERNAL
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        pipeline.PipelineConfigError,
-        pipeline.GeoTableError,
-        metrics.MetricError,
-        loggen.LoggenError,
-        index_store.MalformedPattern,
-        index_store.AggregationError,
-        anomaly.WarmupError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, index_store.StoreError, shipper.ShipperError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        code = _exit_code(exc)
+        prefix = "internal error" if code == EXIT_INTERNAL else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

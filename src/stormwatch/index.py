@@ -1,4 +1,4 @@
-"""Day-partitioned inverted indices over pipeline documents.
+"""Day-partitioned inverted indices over documents.
 
 Indices are named `storm-<kind>-YYYY.MM.DD` and each holds one in-memory
 inverted index, its shard. A write only stores the document; the first query
@@ -8,7 +8,8 @@ fields indexed verbatim, numeric fields sorted into columns), and the next
 write drops it. A process that only writes, as ingest does, never builds
 one. Queries are an AST of term/boolean/range nodes; results are exact and
 sorted by (@timestamp, id). Aggregations recompute from the matching
-documents, so they are exact at this scale.
+documents, so they are exact at this scale. `Document` is the store's own
+record type; the pipeline builds them, and this module imports no sibling.
 
 Snapshots persist one directory per index: a manifest plus the segments it
 lists. A segment is a zlib stream of column blocks (`_write_segment`), and
@@ -37,8 +38,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import count
 from operator import itemgetter
-
-from .pipeline import Document
 
 # Identifier-like fields are indexed verbatim (exact-match terms); free text
 # is tokenized. DNs and client addresses are identifiers here.
@@ -83,6 +82,14 @@ class MalformedPattern(StoreError):
 
 class AggregationError(StoreError):
     pass
+
+
+@dataclass(slots=True)
+class Document:
+    """The store's record: an id, its fields and the index it belongs to."""
+    id: str
+    fields: dict[str, object]
+    index_name: str
 
 
 # ---------------------------------------------------------------------------

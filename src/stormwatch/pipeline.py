@@ -1,4 +1,4 @@
-"""Filter pipeline: raw shipped records become indexable documents.
+"""Filter pipeline: raw shipped records become the index's `Document`s.
 
 A pipeline is an ordered stage list per log kind. Stages are grok (pattern
 extraction), date (timestamp resolution), geo (coordinates from client IP),
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import patterns
 from .codecs import GRAMMARS, LogKind
+from .index import Document
 from .shipper import RawRecord
 from .timeutil import (
     DayContext,
@@ -42,13 +43,6 @@ class PipelineConfigError(ValueError):
 
 class GeoTableError(ValueError):
     pass
-
-
-@dataclass(slots=True)
-class Document:
-    id: str
-    fields: dict[str, object]
-    index_name: str
 
 
 @dataclass(slots=True)
@@ -163,6 +157,14 @@ class Pipeline:
     day_contexts: dict[tuple[str, str], DayContext]
 
 
+def _typed(value, kind: type, what: str):
+    """`value` when it has the JSON type `kind`; otherwise a config error."""
+    if not isinstance(value, kind):
+        names = {dict: "an object", list: "a list", str: "a string"}
+        raise PipelineConfigError(f"{what} must be {names[kind]}")
+    return value
+
+
 def _build_stage(
     spec: dict,
     library: patterns.PatternLibrary,
@@ -172,7 +174,7 @@ def _build_stage(
 ) -> tuple[Stage, bool]:
     """Validate one stage config; return its function and whether it sets
     @timestamp."""
-    stype = spec.get("type")
+    stype = _typed(spec, dict, where).get("type")
     if stype == "grok":
         expr = spec.get("pattern")
         if not isinstance(expr, str) or not expr:
@@ -196,14 +198,14 @@ def _build_stage(
 
         return grok, "@timestamp" in names
     if stype == "date":
-        source = spec.get("source", "ts")
-        formats = tuple(spec.get("formats", ["iso8601"]))
+        source = _typed(spec.get("source", "ts"), str, f"{where}: source")
+        formats = tuple(_typed(spec.get("formats", ["iso8601"]), list, f"{where}: formats"))
         for fmt in formats:
             if fmt not in DATE_FORMATS:
                 raise PipelineConfigError(f"{where}: unknown date format {fmt!r}")
         if not formats:
             raise PipelineConfigError(f"{where}: date stage needs formats")
-        base = spec.get("base_date", "1970-01-01")
+        base = _typed(spec.get("base_date", "1970-01-01"), str, f"{where}: base_date")
         try:
             base_day_ms = parse_date_ms(base)
         except ValueError as exc:
@@ -246,9 +248,11 @@ def _build_stage(
 
         return geo, False
     if stype == "mutate":
-        renames = tuple(spec.get("rename", {}).items())
-        removes = tuple(spec.get("remove", []))
-        adds = tuple(spec.get("add", {}).items())
+        renames = tuple(_typed(spec.get("rename", {}), dict, f"{where}: rename").items())
+        removes = tuple(_typed(spec.get("remove", []), list, f"{where}: remove"))
+        adds = tuple(_typed(spec.get("add", {}), dict, f"{where}: add").items())
+        for name in (*removes, *(new for _, new in renames)):
+            _typed(name, str, f"{where}: each removed field and new name")
 
         def mutate(fields: dict, record: RawRecord) -> object:
             for old, new in renames:
@@ -263,7 +267,7 @@ def _build_stage(
     if stype == "drop":
         if "field" not in spec or "equals" not in spec:
             raise PipelineConfigError(f"{where}: drop stage needs field and equals")
-        name, equals = spec["field"], spec["equals"]
+        name, equals = _typed(spec["field"], str, f"{where}: field"), spec["equals"]
 
         def drop(fields: dict, record: RawRecord) -> object:
             return DROP if fields.get(name) == equals else None
@@ -287,16 +291,17 @@ def load_pipeline(config_text: str) -> Pipeline:
     if not isinstance(config, dict) or "routes" not in config:
         raise PipelineConfigError("config must be an object with a routes key")
 
-    library_doc = config.get("patterns", "")
+    library_doc = _typed(config.get("patterns", ""), str, "patterns")
     try:
         library = patterns.load_library(library_doc)
     except patterns.PatternError as exc:
         raise PipelineConfigError(f"patterns: {exc}") from exc
 
-    geo_table = load_geo_table(config.get("geo_table_csv", default_geo_csv()))
+    geo_csv = _typed(config.get("geo_table_csv", default_geo_csv()), str, "geo_table_csv")
+    geo_table = load_geo_table(geo_csv)
 
     pipeline = Pipeline(routes={}, day_contexts={})
-    for kind_token, stage_specs in config["routes"].items():
+    for kind_token, stage_specs in _typed(config["routes"], dict, "routes").items():
         try:
             kind = LogKind(kind_token)
         except ValueError as exc:
@@ -304,7 +309,7 @@ def load_pipeline(config_text: str) -> Pipeline:
         built = [
             _build_stage(spec, library, geo_table, pipeline.day_contexts,
                          f"route {kind_token} stage {i}")
-            for i, spec in enumerate(stage_specs)
+            for i, spec in enumerate(_typed(stage_specs, list, f"route {kind_token}"))
         ]
         if not any(sets_timestamp for _, sets_timestamp in built):
             raise PipelineConfigError(

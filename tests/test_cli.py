@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +106,29 @@ class TestIngestCommand:
         assert code == 2
         assert stderr.startswith("error: cannot load registry")
         assert sorted(os.listdir(store_dir)) == ["registry.json"]
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"routes": {"backend": [{"type": "lowercase"}]}},
+             "route backend stage 0: unknown stage type 'lowercase'"),
+            ({"routes": {}, "geo_table_csv": "10.0.0.0/8,1,2\n"},
+             "line 1: expected cidr,lat,lon,label"),
+            ({"routes": {"backend": ["grok"]}}, "route backend stage 0 must be an object"),
+        ],
+        ids=["unknown-stage", "bad-geo-table", "stage-not-an-object"],
+    )
+    def test_bad_config_is_usage_error(self, small_corpus, tmp_path, capsys, config, message):
+        config_path = tmp_path / "pipeline.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        store_dir = tmp_path / "store"
+        code, stdout, stderr = run(
+            capsys, "ingest", "--paths", *corpus_paths(small_corpus["dir"]),
+            "--store", str(store_dir), "--config", str(config_path),
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {message}\n"
+        assert not store_dir.exists()
 
     def test_corrupted_corpus_exceeds_threshold(self, small_corpus, tmp_path, capsys):
         victim = tmp_path / "storm-backend.log"
@@ -249,6 +274,11 @@ class TestQueryAndAgg:
         rows = [json.loads(line) for line in stdout.strip().splitlines()]
         assert all("ptg_count" in r["fields"] for r in rows)
 
+    def test_malformed_index_pattern_is_usage_error(self, cli_store, capsys):
+        code, stdout, stderr = run(capsys, "query", "--store", cli_store, "--index", "storm-*-x")
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: '*' only supported as a suffix: 'storm-*-x'\n"
+
     def test_bad_query_json_is_usage_error(self, cli_store, capsys):
         code, _, stderr = run(
             capsys, "query", "--store", cli_store, "--index", "storm-*", "--q", "{nope",
@@ -344,6 +374,26 @@ class TestReportCommand:
         )
         assert code == 1
         assert stderr.startswith(f"error: {message} must be >= 1")
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--interval", "0", "interval_seconds must be >= 1"),
+            ("--top", "0", "top_n must be >= 1"),
+            ("--cell", "0", "cell_degrees must be positive"),
+        ],
+    )
+    def test_bad_parameter_is_usage_error_on_an_empty_store(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        out = tmp_path / "r"
+        code, stdout, stderr = run(
+            capsys, "report", "--store", str(store_dir), "--out", str(out), flag, value,
+        )
+        assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+        assert not out.exists()
 
     def test_report_files_match_aggregate_calls(self, cli_store, tmp_path, capsys):
         out = str(tmp_path / "reports")
@@ -556,3 +606,51 @@ class TestIndexRm:
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
+
+
+# Runs one command through `cli.main` in a fresh interpreter and prints its
+# exit code and the stormwatch modules it imported, as the last stdout line.
+_IMPORT_PROBE = """
+import json, sys
+from stormwatch import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("stormwatch"))]))
+"""
+
+_READ_MODULES = ["stormwatch", "stormwatch.cli", "stormwatch.index", "stormwatch.timeutil"]
+
+
+@pytest.mark.parametrize(
+    "command,modules",
+    [
+        ("query", _READ_MODULES),
+        ("agg", _READ_MODULES),
+        ("report", _READ_MODULES),
+        ("ml detect", [*_READ_MODULES, "stormwatch.anomaly", "stormwatch.metrics"]),
+        ("ingest", [*_READ_MODULES, "stormwatch.codecs", "stormwatch.patterns",
+                    "stormwatch.pipeline", "stormwatch.shipper"]),
+    ],
+    ids=["query", "agg", "report", "ml-detect", "ingest"],
+)
+def test_a_command_imports_only_the_layers_it_runs(
+    cli_store, small_corpus, tmp_path, command, modules
+):
+    argv = {
+        "query": ["query", "--store", cli_store, "--index", "storm-heartbeat-*"],
+        "agg": ["agg", "--store", cli_store, "--index", "storm-backend-*",
+                "--agg", json.dumps({"terms": {"field": "status"}})],
+        "report": ["report", "--store", cli_store, "--out", str(tmp_path / "report")],
+        "ml detect": ["ml", "detect", "--store", cli_store, "--out", str(tmp_path / "ml"),
+                      "--job", write_job(tmp_path / "job.json", small_corpus["truth"])],
+        "ingest": ["ingest", "--store", str(tmp_path / "store"), "--base-date", "2024-03-01",
+                   "--paths", os.path.join(small_corpus["dir"], "heartbeat.log")],
+    }[command]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(IX.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert (code, sorted(loaded)) == (0, sorted(modules))

@@ -7,6 +7,9 @@ the code that ships: `src/`, `scripts/` and `perfbench/` (their tests do
 not count). Attribute access, imports and strings (as in a `getattr` or a
 tracer patching a module attribute) all count. Matching is by bare name,
 so the check can miss dead code that shares a name with live code.
+
+It also checks that `index.py`, the store every read command loads, imports
+no other stormwatch module.
 """
 
 import ast
@@ -95,3 +98,17 @@ def test_exemptions_are_current():
     stale = [name for name in sorted(EXEMPT) if name not in definitions
              or definitions[name] in used]
     assert stale == [], f"exempt but deleted or now used, drop the exemption: {stale}"
+
+
+def test_index_imports_no_sibling_module():
+    """`query`, `agg` and `report` load the store and no parser, so `index`
+    imports no other stormwatch module."""
+    tree = ast.parse((PACKAGE / "index.py").read_text(encoding="utf-8"))
+    imports = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "stormwatch")
+        or isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "stormwatch" for alias in node.names)
+    ]
+    assert imports == [], f"index.py imports other stormwatch modules: {imports}"

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from stormwatch import codecs as C
+from stormwatch import index as IX
 from stormwatch import pipeline as PL
 from stormwatch.codecs import LogKind
 from stormwatch.shipper import RawRecord
@@ -102,11 +103,34 @@ class TestLoadPipeline:
             ({"type": "date", "base_date": "03/01/2024"}, "bad base_date"),
             ({"type": "geo"}, "geo stage needs a source field"),
             ({"type": "drop", "field": "status"}, "drop stage needs field and equals"),
+            ({"type": "date", "formats": "iso8601"}, "formats must be a list"),
+            ({"type": "mutate", "rename": ["a"]}, "rename must be an object"),
+            ({"type": "mutate", "add": [["a", 1]]}, "add must be an object"),
+            ({"type": "mutate", "remove": "a"}, "remove must be a list"),
+            ({"type": "mutate", "remove": [["a"]]}, "each removed field and new name must be"),
+            ({"type": "mutate", "rename": {"a": 1}}, "each removed field and new name must be"),
+            ({"type": "date", "source": ["ts"]}, "source must be a string"),
+            ({"type": "date", "base_date": 20240301}, "base_date must be a string"),
+            ({"type": "drop", "field": ["status"], "equals": 1}, "field must be a string"),
         ],
     )
     def test_bad_stage_names_route_and_index(self, stage, message):
         config = {"routes": {"backend": [{"type": "date", "source": "ts"}, stage]}}
         with pytest.raises(PL.PipelineConfigError, match=f"route backend stage 1: {message}"):
+            PL.load_pipeline(json.dumps(config))
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"routes": []}, "routes must be an object"),
+            ({"routes": {"backend": {"type": "grok"}}}, "route backend must be a list"),
+            ({"routes": {"backend": ["grok"]}}, "route backend stage 0 must be an object"),
+            ({"routes": {}, "patterns": 5}, "patterns must be a string"),
+            ({"routes": {}, "geo_table_csv": ["10.0.0.0/8"]}, "geo_table_csv must be a string"),
+        ],
+    )
+    def test_wrongly_typed_config_is_config_error(self, config, message):
+        with pytest.raises(PL.PipelineConfigError, match=f"^{message}$"):
             PL.load_pipeline(json.dumps(config))
 
 
@@ -291,6 +315,10 @@ class TestProcess:
         assert payload["offset"] == 9
         assert payload["stage"] == "grok"
         assert payload["line"] == "junk"
+
+
+def test_pipeline_builds_the_store_record_type():
+    assert PL.Document is IX.Document
 
 
 class TestGeoTable:
