@@ -1,20 +1,25 @@
-"""Day-partitioned inverted indices over documents.
+"""Day-partitioned inverted indices over documents held as columns.
 
 Indices are named `storm-<kind>-YYYY.MM.DD` and each holds one in-memory
-inverted index, its shard. A write only stores the document; the first query
-that reads a field builds that field's index from the stored documents (text
-fields tokenized on non-alphanumeric boundaries and lowercased, keyword
-fields indexed verbatim, numeric fields sorted into columns), and the next
-write drops it. A process that only writes, as ingest does, never builds
-one. Queries are an AST of term/boolean/range nodes; results are exact and
-sorted by (@timestamp, id). Aggregations recompute from the matching
-documents, so they are exact at this scale. `Document` is the store's own
-record type; the pipeline builds them, and this module imports no sibling.
+shard. A shard keeps its documents as columns, one list of values per field
+indexed by ordinal, with each ordinal's id and field names (`Shard`). A
+write appends a document to the columns; the first query that reads a field
+builds that field's index from its column (text fields tokenized on
+non-alphanumeric boundaries and lowercased, keyword fields indexed verbatim,
+numeric fields sorted), and the next write drops it. A process that only
+writes, as ingest does, never builds one. Queries are an AST of
+term/boolean/range nodes; results are exact and sorted by (@timestamp, id),
+and search builds a `Document` only for a hit it returns. Aggregations and
+metric series read the matching documents' values straight from the
+columns (`field_values`), so they are exact at this scale. `Document` is the
+store's own record type; the pipeline builds them, and this module imports
+no sibling.
 
 Snapshots persist one directory per index: a manifest plus the segments it
 lists. A segment is a zlib stream of column blocks (`_write_segment`), and
-loading upserts its documents in order. The manifest is the commit point of
-a save; `index_names` lists the indices on disk by their manifests alone.
+loading appends each block's columns to the shard in order (`Shard.extend`).
+The manifest is the commit point of a save; `index_names` lists the indices
+on disk by their manifests alone.
 
 A dated index holds only documents of its own UTC day (`index_document`
 enforces it), so a time range prunes whole days: `load_store` skips the days
@@ -33,11 +38,12 @@ import re
 import shutil
 import zlib
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Iterator, Set
 from datetime import datetime, timezone
-from itertools import count
+from itertools import chain, count, repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 # Identifier-like fields are indexed verbatim (exact-match terms); free text
 # is tokenized. DNs and client addresses are identifiers here.
@@ -84,8 +90,7 @@ class AggregationError(StoreError):
     pass
 
 
-@dataclass(slots=True)
-class Document:
+class Document(NamedTuple):
     """The store's record: an id, its fields and the index it belongs to."""
     id: str
     fields: dict[str, object]
@@ -96,29 +101,24 @@ class Document:
 # Query and aggregation ASTs
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     field: str
     value: object
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     clauses: tuple
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(NamedTuple):
     clauses: tuple
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     clause: object
 
 
-@dataclass(frozen=True)
-class Range:
+class Range(NamedTuple):
     field: str
     min: float | None = None
     max: float | None = None
@@ -126,32 +126,27 @@ class Range:
     include_max: bool = True
 
 
-@dataclass(frozen=True)
-class MatchAll:
+class MatchAll(NamedTuple):
     pass
 
 
 Query = Term | And | Or | Not | Range | MatchAll
 
 
-@dataclass(frozen=True)
-class TermsAgg:
+class TermsAgg(NamedTuple):
     field: str
     top_n: int
 
 
-@dataclass(frozen=True)
-class DateHistogramAgg:
+class DateHistogramAgg(NamedTuple):
     interval_seconds: int
 
 
-@dataclass(frozen=True)
-class StatsAgg:
+class StatsAgg(NamedTuple):
     field: str
 
 
-@dataclass(frozen=True)
-class GeoGridAgg:
+class GeoGridAgg(NamedTuple):
     cell_degrees: float
 
 
@@ -217,47 +212,118 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(lowered)
 
 
-# The document in a shard entry (see `Shard`).
+# The document in a search entry (see `Shard.entries`).
 _DOCUMENT = itemgetter(3)
+_NONES = repeat(None)
 
 
 class Shard:
-    """One shard's documents and the field indexes its queries built.
+    """One shard's documents, held as columns, and the indexes its queries built.
 
-    `entries` maps each live document's ordinal to its (@timestamp, id,
-    index name, document) tuple, so that search sorts its hits as plain
-    tuples and reads the documents off them; an id is unique within an index,
-    so two tuples never compare their documents. A write only stores the
-    document (`upsert`) and drops every built field index. The first query
-    that reads a field builds its index from `entries`: `postings` for a term
-    on a string (`_terms`), `ranges` for a range or a numeric term
-    (`_column`). `Term("id", …)` reads `by_id`.
+    Each write takes the next ordinal: `ids[o]` is the document's id,
+    `shapes[o]` its field names in their order (one tuple shared by the
+    ordinals that have them), and `columns[field][o]` each field's value,
+    None where the shape lacks the field. `by_id` maps the id of each live
+    document to its ordinal. Replacing a document sets its old ordinal to
+    None in every column, so a column read whole holds live values only.
+
+    A write drops everything built from the columns. The first query that
+    reads a field builds its index from the field's column: `postings` for
+    a term on a string (`_terms`), `ranges` for a range or a numeric term
+    (`_column`). `Term("id", …)` reads `by_id`, and `MatchAll` and `Not` the
+    frozen set of live ordinals, `live`. `entries` holds the (@timestamp, id,
+    index name, document) tuple of each ordinal that search has returned, so
+    that search sorts its hits as plain tuples and builds a hit's `Document`
+    once; an id is unique within an index, so two tuples never compare their
+    documents.
     """
 
-    __slots__ = ("entries", "by_id", "postings", "ranges", "next_ord")
+    __slots__ = ("ids", "shapes", "columns", "by_id", "live", "plans", "entries", "postings",
+                 "ranges")
 
     def __init__(self) -> None:
-        self.entries: dict[int, tuple] = {}
+        self.ids: list[str] = []
+        self.shapes: list[tuple[str, ...]] = []
+        self.columns: dict[str, list] = {}
         self.by_id: dict[str, int] = {}
+        self.live: frozenset[int] | None = None
+        # Per field-name tuple: its shared shape and the columns a write of
+        # that shape appends to, its own fields first (see `_plan`).
+        self.plans: dict[tuple, tuple[tuple, list[list]]] = {}
+        self.entries: dict[int, tuple] = {}
         self.postings: dict[str, dict[str, list[int]]] = {}
         self.ranges: dict[str, tuple[list[float], list[int], list[int]]] = {}
-        self.next_ord = 0
+
+    def _plan(self, names: tuple) -> tuple[tuple, list[list]]:
+        """The shape of these field names and the columns its writes append
+        to: one per name, in order, then every column the shape lacks. A
+        new field's column starts as None for every earlier ordinal."""
+        columns = self.columns
+        for name in names:
+            if name not in columns:
+                columns[name] = [None] * len(self.ids)
+                self.plans.clear()  # every plan appends to the new column
+        rest = [column for name, column in columns.items() if name not in names]
+        plan = self.plans[names] = (names, [*map(columns.__getitem__, names), *rest])
+        return plan
+
+    def _invalidate(self) -> None:
+        self.live = None
+        self.entries.clear()
+        self.postings.clear()
+        self.ranges.clear()
+
+    def _drop(self, ord_: int) -> None:
+        for name in self.shapes[ord_]:
+            self.columns[name][ord_] = None
 
     def upsert(self, doc: Document) -> None:
         """Store a document, replacing the one with its id."""
-        self.postings.clear()
-        self.ranges.clear()
+        self._invalidate()
         old = self.by_id.get(doc.id)
         if old is not None:
-            del self.entries[old]
-        ord_ = self.next_ord
-        self.next_ord = ord_ + 1
-        self.entries[ord_] = (doc.fields.get("@timestamp"), doc.id, doc.index_name, doc)
-        self.by_id[doc.id] = ord_
+            self._drop(old)
+        fields = doc.fields
+        names = tuple(fields)
+        shape, columns = self.plans.get(names) or self._plan(names)
+        self.by_id[doc.id] = len(self.ids)
+        self.ids.append(doc.id)
+        self.shapes.append(shape)
+        any(map(list.append, columns, chain(fields.values(), _NONES)))
 
-    def evaluate(self, q: Query) -> set[int]:
+    def extend(self, names: tuple, ids: list[str], values: list[list]) -> None:
+        """Append documents that share their field names: their ids and one
+        list of values per name, each in `ids` order. A document replaces
+        the one stored with its id, as with `upsert`."""
+        n = len(ids)
+        if any(len(column) != n for column in values):
+            raise ValueError("a column's length differs from its ids'")
+        self._invalidate()
+        by_id = self.by_id
+        repeated = by_id.keys() & ids
+        for id_ in repeated:
+            self._drop(by_id[id_])
+        expected = len(by_id) - len(repeated) + n
+        shape, columns = self.plans.get(names) or self._plan(names)
+        start = len(self.ids)
+        self.ids.extend(ids)
+        self.shapes.extend(repeat(shape, n))
+        by_id.update(zip(ids, range(start, start + n)))
+        if len(by_id) != expected:
+            raise ValueError("ids repeat within a group")
+        for column, group in zip(columns, chain(values, repeat([None] * n))):
+            column.extend(group)
+
+    def _live(self) -> frozenset[int]:
+        if self.live is None:
+            self.live = frozenset(self.by_id.values())
+        return self.live
+
+    def evaluate(self, q: Query) -> Set[int]:
+        """The ordinals of the live documents that match; the caller must
+        not change the set."""
         if isinstance(q, MatchAll):
-            return set(self.entries)
+            return self._live()
         if isinstance(q, Term):
             return self._eval_term(q)
         if isinstance(q, And):
@@ -267,17 +333,29 @@ class Shard:
                 result = hit if result is None else result & hit
                 if not result:
                     return set()
-            return result if result is not None else set(self.entries)
+            return result if result is not None else self._live()
         if isinstance(q, Or):
             result = set()
             for clause in q.clauses:
                 result |= self.evaluate(clause)
             return result
         if isinstance(q, Not):
-            return set(self.entries) - self.evaluate(q.clause)
+            return self._live() - self.evaluate(q.clause)
         if isinstance(q, Range):
             return self._eval_range(q)
         raise StoreError(f"unknown query node: {q!r}")
+
+    def hit_entries(self, hits: Set[int], index_name: str) -> dict[int, tuple]:
+        """`entries`, holding the tuple of every hit, which is built the first
+        time the hit is asked for."""
+        entries = self.entries
+        if len(entries) < len(self.by_id):  # else every live document is built
+            ids, columns = self.ids, self.columns
+            for ord_ in hits - entries.keys():
+                fields = {name: columns[name][ord_] for name in self.shapes[ord_]}
+                entries[ord_] = (fields.get("@timestamp"), ids[ord_], index_name,
+                                 Document(ids[ord_], fields, index_name))
+        return entries
 
     def _eval_range(self, q: Range) -> set[int]:
         values, ords, nan = self._column(q.field)
@@ -323,15 +401,14 @@ class Shard:
         return result or set()
 
     def _terms(self, field: str) -> dict[str, list[int]]:
-        """The field's postings, built from `entries` on first use: a keyword
-        field's string values verbatim, any other field's tokenized."""
+        """The field's postings, built from its column on first use: a
+        keyword field's string values verbatim, any other field's tokenized."""
         terms = self.postings.get(field)
         if terms is not None:
             return terms
         terms = self.postings[field] = {}
         keyword = field in KEYWORD_FIELDS
-        for ord_, entry in self.entries.items():
-            value = entry[3].fields.get(field)
+        for ord_, value in enumerate(self.columns.get(field, ())):
             if type(value) is not str:
                 continue
             for term in (value,) if keyword else set(tokenize(value)):
@@ -344,14 +421,13 @@ class Shard:
     def _column(self, field: str) -> tuple[list[float], list[int], list[int]]:
         """The field's int and float values (bools are neither) in sorted
         order with their ordinals, and the ordinals of its NaN values; built
-        from `entries` on first use."""
+        from its column on first use."""
         column = self.ranges.get(field)
         if column is not None:
             return column
         pairs: list[tuple[float, int]] = []
         nan: list[int] = []
-        for ord_, entry in self.entries.items():
-            value = entry[3].fields.get(field)
+        for ord_, value in enumerate(self.columns.get(field, ())):
             if type(value) is int or type(value) is float:
                 if value == value:
                     pairs.append((float(value), ord_))
@@ -472,8 +548,8 @@ def _matches(
     indices: str,
     q: Query,
     time_range: tuple[int | None, int | None] | None,
-) -> Iterator[tuple[Shard, set[int]]]:
-    """The shard of each matching index with the ordinals it matches.
+) -> Iterator[tuple[str, Shard, Set[int]]]:
+    """The name and shard of each matching index with the ordinals it matches.
 
     Indices whose day lies outside `time_range` are skipped unread.
     """
@@ -486,19 +562,28 @@ def _matches(
         if not _may_match(name, time_range):
             continue
         for shard in store.indices[name].shards:
-            yield shard, shard.evaluate(q)
+            yield name, shard, shard.evaluate(q)
 
 
-def _collect(
+def field_values(
     store: Store,
     indices: str,
     q: Query,
     time_range: tuple[int | None, int | None] | None,
-) -> list[Document]:
-    docs: list[Document] = []
-    for shard, hits in _matches(store, indices, q, time_range):
-        docs.extend(map(_DOCUMENT, map(shard.entries.__getitem__, hits)))
-    return docs
+    *fields: str,
+) -> list[list]:
+    """Per field, its value in each matching document, None where the
+    document lacks it, read from the columns. The lists run over the
+    documents in one order, which is not search's."""
+    values: list[list] = [[] for _ in fields]
+    for _, shard, hits in _matches(store, indices, q, time_range):
+        for out, field in zip(values, fields):
+            column = shard.columns.get(field)
+            if column is None:
+                out.extend(repeat(None, len(hits)))
+            else:
+                out.extend(map(column.__getitem__, hits))
+    return values
 
 
 def search(
@@ -513,8 +598,8 @@ def search(
     be None. Unknown fields match nothing rather than failing.
     """
     entries: list[tuple] = []
-    for shard, hits in _matches(store, indices, q, time_range):
-        entries.extend(map(shard.entries.__getitem__, hits))
+    for name, shard, hits in _matches(store, indices, q, time_range):
+        entries.extend(map(shard.hit_entries(hits, name).__getitem__, hits))
     entries.sort()
     return list(map(_DOCUMENT, entries))
 
@@ -527,32 +612,24 @@ def aggregate(
     time_range: tuple[int | None, int | None] | None = None,
 ):
     """Exact aggregation over the query's result set."""
-    docs = _collect(store, indices, q, time_range)
     if isinstance(agg, TermsAgg):
+        (values,) = field_values(store, indices, q, time_range, agg.field)
         if agg.top_n < 1:
             raise AggregationError("top_n must be >= 1")
-        counts: dict[object, int] = {}
-        for doc in docs:
-            value = doc.fields.get(agg.field)
-            if value is None:
-                continue
-            counts[value] = counts.get(value, 0) + 1
+        counts = Counter(values)
+        counts.pop(None, None)
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
         return ranked[: agg.top_n]
     if isinstance(agg, DateHistogramAgg):
+        (stamps,) = field_values(store, indices, q, time_range, "@timestamp")
         if agg.interval_seconds < 1:
             raise AggregationError("interval_seconds must be >= 1")
         span = agg.interval_seconds * 1000
-        buckets: dict[int, int] = {}
-        for doc in docs:
-            ts = doc.fields["@timestamp"]
-            start = ts - ts % span
-            buckets[start] = buckets.get(start, 0) + 1
-        return sorted(buckets.items())
+        return sorted(Counter(ts - ts % span for ts in stamps).items())
     if isinstance(agg, StatsAgg):
+        (column,) = field_values(store, indices, q, time_range, agg.field)
         values = []
-        for doc in docs:
-            value = doc.fields.get(agg.field)
+        for value in column:
             if value is None:
                 continue
             if type(value) is not int and type(value) is not float:
@@ -569,13 +646,12 @@ def aggregate(
             "sum": total,
         }
     if isinstance(agg, GeoGridAgg):
+        lats, lons = field_values(store, indices, q, time_range, "geo_lat", "geo_lon")
         cell = agg.cell_degrees
         if cell <= 0:
             raise AggregationError("cell_degrees must be positive")
         counts2: dict[tuple[int, int], int] = {}
-        for doc in docs:
-            lat = doc.fields.get("geo_lat")
-            lon = doc.fields.get("geo_lon")
+        for lat, lon in zip(lats, lons):
             if lat is None or lon is None:
                 continue
             key = (math.floor(lat / cell), math.floor(lon / cell))
@@ -629,22 +705,22 @@ def _write_segment(shard: Shard, path: str) -> None:
     """Write the shard's documents as one zlib stream of column blocks, fsynced.
 
     A block holds up to `_BLOCK_DOCS` documents in ordinal order, grouped by
-    their field names. Each group is a JSON line `[keys, ids]` with the keys
+    their shapes. Each group is a JSON line `[keys, ids]` with the keys
     sorted, then one JSON array per key: that field's values, in `ids` order.
     """
-    entries = shard.entries
-    ords = sorted(entries)
+    ords = sorted(shard.by_id.values())
+    shapes, columns = shard.shapes, shard.columns
     deflate = zlib.compressobj(1)
     with open(path, "wb") as handle:
         for start in range(0, len(ords), _BLOCK_DOCS):
-            groups: dict[tuple, list[Document]] = {}
+            groups: dict[tuple, list[int]] = {}
             for ord_ in ords[start:start + _BLOCK_DOCS]:
-                doc = entries[ord_][3]
-                groups.setdefault(tuple(doc.fields), []).append(doc)
-            for names, docs in groups.items():
+                groups.setdefault(shapes[ord_], []).append(ord_)
+            for names, group in groups.items():
                 keys = sorted(names)
-                columns = [[doc.fields[key] for doc in docs] for key in keys]
-                for line in ([keys, [doc.id for doc in docs]], *columns):
+                lines = [[keys, [*map(shard.ids.__getitem__, group)]]]
+                lines += [[*map(columns[key].__getitem__, group)] for key in keys]
+                for line in lines:
                     handle.write(deflate.compress(f"{_encode(line)}\n".encode("utf-8")))
         handle.write(deflate.flush())
         handle.flush()
@@ -664,16 +740,12 @@ def _segment_lines(path: str) -> Iterator[bytes]:
         raise ValueError("truncated segment")
 
 
-def _load_segment(shard: Shard, name: str, path: str) -> None:
-    """Upsert a segment's documents into a shard, in the segment's order."""
-    upsert = shard.upsert
+def _load_segment(shard: Shard, path: str) -> None:
+    """Append a segment's groups to a shard, in the segment's order."""
     lines = _segment_lines(path)
     for header in lines:
         keys, ids = json.loads(header)
-        columns = [json.loads(next(lines)) for _ in keys]
-        rows = zip(*columns) if columns else [()] * len(ids)
-        for id_, values in zip(ids, rows):
-            upsert(Document(id_, dict(zip(keys, values)), name))
+        shard.extend(tuple(keys), ids, [json.loads(next(lines)) for _ in keys])
 
 
 def _load_index(path: str, name: str) -> TimeIndex:
@@ -689,7 +761,7 @@ def _load_index(path: str, name: str) -> TimeIndex:
                 " layout is not read); re-ingest its logs into a fresh store"
             )
         for segment in manifest["segments"]:
-            _load_segment(index.shards[0], name, os.path.join(path, segment))
+            _load_segment(index.shards[0], os.path.join(path, segment))
         doc_count = int(manifest["doc_count"])
     except (zlib.error, ValueError, KeyError, TypeError, StopIteration) as exc:
         raise StoreError(f"snapshot corrupt for {name}: {exc!r}") from exc

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import index as index_store
 from .index import MatchAll, Query, Store
@@ -87,18 +88,19 @@ def build_series(store: Store, spec: MetricSpec, from_ms: int, to_ms: int) -> Me
     counts = [0] * n_buckets
     samples: list[list[float]] = [[] for _ in range(n_buckets)]
 
-    docs = index_store.search(store, spec.indices, spec.filter, (from_ms, to_ms))
     fieldname = spec.detector_field
-    for doc in docs:
-        slot = (doc.fields["@timestamp"] - start) // span_ms
+    fields = ["@timestamp"] if fieldname is None else ["@timestamp", fieldname]
+    stamps, *detector = index_store.field_values(
+        store, spec.indices, spec.filter, (from_ms, to_ms), *fields
+    )
+    for ts, value in zip(stamps, detector[0] if detector else repeat(None)):
+        slot = (ts - start) // span_ms
         counts[slot] += 1
-        if fieldname is not None:
-            value = doc.fields.get(fieldname)
-            if value is None:
-                continue
-            if type(value) is not int and type(value) is not float:
-                raise MetricError(f"detector field {fieldname!r} is not numeric")
-            samples[slot].append(float(value))
+        if value is None:
+            continue
+        if type(value) is not int and type(value) is not float:
+            raise MetricError(f"detector field {fieldname!r} is not numeric")
+        samples[slot].append(float(value))
 
     values: list[float | None] = []
     for slot in range(n_buckets):

@@ -609,12 +609,14 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 # Runs one command through `cli.main` in a fresh interpreter and prints its
-# exit code and the stormwatch modules it imported, as the last stdout line.
+# exit code and the stormwatch modules it imported, with `dataclasses` if it
+# was imported, as the last stdout line.
 _IMPORT_PROBE = """
 import json, sys
 from stormwatch import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("stormwatch"))]))
+loaded = [m for m in sys.modules if m.startswith("stormwatch") or m == "dataclasses"]
+print(json.dumps([code, sorted(loaded)]))
 """
 
 _READ_MODULES = ["stormwatch", "stormwatch.cli", "stormwatch.index", "stormwatch.timeutil"]
@@ -626,8 +628,9 @@ _READ_MODULES = ["stormwatch", "stormwatch.cli", "stormwatch.index", "stormwatch
         ("query", _READ_MODULES),
         ("agg", _READ_MODULES),
         ("report", _READ_MODULES),
-        ("ml detect", [*_READ_MODULES, "stormwatch.anomaly", "stormwatch.metrics"]),
-        ("ingest", [*_READ_MODULES, "stormwatch.codecs", "stormwatch.patterns",
+        ("ml detect", [*_READ_MODULES, "dataclasses", "stormwatch.anomaly",
+                       "stormwatch.metrics"]),
+        ("ingest", [*_READ_MODULES, "dataclasses", "stormwatch.codecs", "stormwatch.patterns",
                     "stormwatch.pipeline", "stormwatch.shipper"]),
     ],
     ids=["query", "agg", "report", "ml-detect", "ingest"],

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import oracle_search, oracle_tokens, random_query
 from stormwatch import index as IX
+from stormwatch import metrics
 from stormwatch.pipeline import Document
 
 DAY = "2024.03.01"
@@ -438,14 +439,23 @@ def odd_doc(i, **changes):
 def shard_state(index):
     """Per shard and id: the document's fields, compared by repr so that NaN
     equals NaN and 1 differs from 1.0 and True. Checks on the way that
-    `by_id` indexes exactly the entries; the field indexes derive from these
-    and are left to queries to check."""
+    `by_id` covers exactly the live ordinals, that a replaced ordinal holds
+    None in every column, and that every live document comes back with its
+    @timestamp and index name; the field indexes derive from the columns and
+    are left to queries to check."""
     state = {}
     for n, shard in enumerate(index.shards):
-        ids = {o: entry[1] for o, entry in shard.entries.items()}
-        assert shard.by_id == {doc_id: o for o, doc_id in ids.items()}
-        for ts, doc_id, name, doc in shard.entries.values():
+        ords = set(range(len(shard.ids)))
+        live = set(shard.by_id.values())
+        assert len(live) == len(shard.by_id) and live <= ords
+        assert all(shard.ids[o] == doc_id for doc_id, o in shard.by_id.items())
+        for column in shard.columns.values():
+            assert len(column) == len(shard.ids)
+            assert all(column[o] is None for o in ords - live)
+        entries = shard.hit_entries(live, index.name)
+        for ts, doc_id, name, doc in map(entries.__getitem__, live):
             assert (doc.id, doc.index_name, ts) == (doc_id, name, doc.fields["@timestamp"])
+            assert name == index.name
             state[n, doc_id] = repr(sorted(doc.fields.items()))
     return state
 
@@ -469,8 +479,8 @@ class TestSegments:
         IX.save_store(store, root)
         reloaded = IX.load_store(root)
         index = reloaded.indices[self.NAME]
-        assert min(len(shard.entries) for shard in index.shards) > IX._BLOCK_DOCS
-        assert all(shard.next_ord == len(shard.entries) for shard in index.shards)
+        assert min(len(shard.by_id) for shard in index.shards) > IX._BLOCK_DOCS
+        assert all(len(shard.ids) == len(shard.by_id) for shard in index.shards)
         assert shard_state(index) == shard_state(store.indices[self.NAME])
 
         # The loaded state keeps working: text postings, upserts, queries.
@@ -614,6 +624,80 @@ DAY_NAMES = {1: "storm-backend-2024.03.01", 2: "storm-backend-2024.03.02",
              3: "storm-backend-2024.03.03"}
 UNDATED = "storm-backend-archive"
 NAN = float("nan")
+
+
+def count_documents(monkeypatch):
+    """Record the id of every `Document` the index module builds from here on."""
+    built = []
+    real = IX.Document
+
+    def counting(*args, **kwargs):
+        doc = real(*args, **kwargs)
+        built.append(doc.id)
+        return doc
+
+    monkeypatch.setattr(IX, "Document", counting)
+    return built
+
+
+class TestColumns:
+    def test_load_and_aggregations_build_no_document(self, store_and_docs, tmp_path,
+                                                     monkeypatch):
+        store, _ = store_and_docs
+        IX.save_store(store, str(tmp_path))
+        built = count_documents(monkeypatch)
+        loaded = IX.load_store(str(tmp_path))
+        q = IX.Term("status", "ERROR")
+        for agg in (IX.TermsAgg("action", 3), IX.DateHistogramAgg(60),
+                    IX.StatsAgg("mean_ms"), IX.GeoGridAgg(1.0)):
+            want = IX.aggregate(store, "storm-*", q, agg)
+            assert IX.aggregate(loaded, "storm-*", q, agg) == want
+        spec = metrics.MetricSpec("storm-*", q, "max", "mean_ms", 60)
+        window = (BASE_TS, BASE_TS + 600_000)
+        want = metrics.build_series(store, spec, *window)
+        assert metrics.build_series(loaded, spec, *window) == want
+        assert built == []
+
+    def test_search_builds_a_hit_document_once_until_the_next_write(
+        self, store_and_docs, tmp_path, monkeypatch
+    ):
+        store, docs = store_and_docs
+        IX.save_store(store, str(tmp_path))
+        loaded = IX.load_store(str(tmp_path))
+        built = count_documents(monkeypatch)
+        error = IX.Term("status", "ERROR")
+        either = IX.Or((error, IX.Term("status", "WARN")))
+        first = IX.search(loaded, "storm-*", error)
+        both = IX.search(loaded, "storm-*", either)
+        assert IX.search(loaded, "storm-*", error) == first
+        assert sorted(built) == sorted(d.id for d in both)
+        assert [(d.id, d.fields) for d in both] == [
+            (d.id, d.fields) for d in oracle_search(docs, either)]
+        same = {d.id: d for d in both}
+        assert all(same[d.id] is d for d in first)
+
+        built.clear()
+        IX.index_document(loaded, make_doc(len(docs), status="ERROR"))
+        again = IX.search(loaded, "storm-*", error)
+        assert sorted(built) == sorted(d.id for d in again) == sorted(
+            [make_doc(len(docs)).id, *(d.id for d in first)])
+
+    def test_saving_a_loaded_index_again_writes_the_same_segment(self, tmp_path):
+        # Replaced documents, and a field that first appears after
+        # thousands of writes, leave holes in the columns.
+        store = IX.Store()
+        for i in range(6000):
+            extra = {"retries": i % 4} if i >= 3000 else {}
+            IX.index_document(store, make_doc(i, status="INFO", message=f"m {i}", **extra))
+        for i in range(0, 6000, 7):
+            IX.index_document(store, make_doc(i, status="WARN", geo_label="IT/Roma"))
+        first, second = tmp_path / "first", tmp_path / "second"
+        IX.save_store(store, str(first))
+        loaded = IX.load_store(str(first))
+        loaded.indices[TestSegments.NAME].dirty = True
+        IX.save_store(loaded, str(second))
+        segment = f"{TestSegments.NAME}/1.seg"
+        assert (first / segment).read_bytes() == (second / segment).read_bytes()
 
 
 class TestDayPruning:

@@ -494,7 +494,7 @@ def test_stock_grok_stages_use_the_codec_grammars():
 @pytest.mark.xfail(
     strict=True,
     reason="known defect: the stock frontend route drops the SURL with `surl_clause`;"
-    " keeping it needs optional grok captures (ROADMAP item 4)",
+    " ROADMAP item 6 keeps it with a post-grok step that takes `surl_clause[7:-1]`",
 )
 def test_frontend_document_keeps_surl(default_pipeline):
     doc = PL.process(default_pipeline, frontend_record(GOOD_FRONTEND))
