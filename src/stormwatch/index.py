@@ -11,9 +11,11 @@ writes, as ingest does, never builds one. Queries are an AST of
 term/boolean/range nodes; results are exact and sorted by (@timestamp, id),
 and search builds a `Document` only for a hit it returns. Aggregations and
 metric series read the matching documents' values straight from the
-columns (`field_values`), so they are exact at this scale. `Document` is the
-store's own record type; the pipeline builds them, and this module imports
-no sibling.
+columns (`field_values`; a whole column when every document of the shard
+matches), so they are exact. Each aggregation is computed afresh per call
+by kernels that run per document in C and in Python only per bucket or
+per distinct value (`aggregate`). `Document` is the store's own record
+type; the pipeline builds them, and this module imports no sibling.
 
 Snapshots persist one directory per index: a manifest plus the segments it
 lists. A segment is a zlib stream of column blocks (`_write_segment`), and
@@ -23,10 +25,12 @@ on disk by their manifests alone.
 
 A dated index holds only documents of its own UTC day (`index_document`
 enforces it), so a time range prunes whole days: `load_store` skips the days
-a range cannot match and so does the search over a loaded store. A store
-that knows its `root` loads an index from disk the first time a document is
-routed to it, so ingest reads only the days it writes, and a save removes
-only the index directories that `delete_index` dropped.
+a range cannot match and so does the search over a loaded store, and an
+index whose whole day the range covers is queried without it (`_inside`),
+which spares building a day-sized set of ordinals. A store that knows its
+`root` loads an index from disk the first time a document is routed to it,
+so ingest reads only the days it writes, and a save removes only the index
+directories that `delete_index` dropped.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator, Set
 from datetime import datetime, timezone
+from functools import partial
 from itertools import chain, count, repeat
-from operator import itemgetter
+from operator import is_not, itemgetter
 from typing import NamedTuple
 
 # Identifier-like fields are indexed verbatim (exact-match terms); free text
@@ -512,6 +517,19 @@ def _may_match(
     return not ((lo is not None and lo >= bounds[1]) or (hi is not None and hi <= bounds[0]))
 
 
+def _inside(index_name: str, time_range: tuple[int | None, int | None] | None) -> bool:
+    """True when the name's whole day lies inside the half-open range, so
+    every document of the index is in it. No range covers every day, and a
+    NaN bound compares False and so covers none."""
+    if time_range is None:
+        return True
+    bounds = _day_bounds(index_name)
+    if bounds is None:
+        return False
+    lo, hi = time_range
+    return (lo is None or lo <= bounds[0]) and (hi is None or hi >= bounds[1])
+
+
 def index_document(store: Store, doc: Document) -> None:
     """Upsert one document into its index."""
     timestamp = doc.fields.get("@timestamp")
@@ -551,18 +569,20 @@ def _matches(
 ) -> Iterator[tuple[str, Shard, Set[int]]]:
     """The name and shard of each matching index with the ordinals it matches.
 
-    Indices whose day lies outside `time_range` are skipped unread.
+    Indices whose day lies outside `time_range` are skipped unread, and an
+    index whose whole day lies inside it is queried without the time range:
+    it matches every document there (see `_inside`).
     """
+    ranged = q
     if time_range is not None:
         lo, hi = time_range
-        clauses: list[Query] = [q]
-        clauses.append(Range("@timestamp", min=lo, max=hi, include_max=False))
-        q = And(tuple(clauses))
+        ranged = And((q, Range("@timestamp", min=lo, max=hi, include_max=False)))
     for name in match_index_pattern(indices, list(store.indices)):
         if not _may_match(name, time_range):
             continue
+        clause = q if _inside(name, time_range) else ranged
         for shard in store.indices[name].shards:
-            yield name, shard, shard.evaluate(q)
+            yield name, shard, shard.evaluate(clause)
 
 
 def field_values(
@@ -574,13 +594,17 @@ def field_values(
 ) -> list[list]:
     """Per field, its value in each matching document, None where the
     document lacks it, read from the columns. The lists run over the
-    documents in one order, which is not search's."""
+    documents in one order, which is not search's. When every document of
+    a shard matches and none was replaced, its columns are read whole."""
     values: list[list] = [[] for _ in fields]
     for _, shard, hits in _matches(store, indices, q, time_range):
+        whole = hits is shard.live and len(hits) == len(shard.ids)
         for out, field in zip(values, fields):
             column = shard.columns.get(field)
             if column is None:
                 out.extend(repeat(None, len(hits)))
+            elif whole:
+                out.extend(column)
             else:
                 out.extend(map(column.__getitem__, hits))
     return values
@@ -611,32 +635,41 @@ def aggregate(
     agg: Aggregation,
     time_range: tuple[int | None, int | None] | None = None,
 ):
-    """Exact aggregation over the query's result set."""
+    """Exact aggregation over the query's result set, computed afresh per
+    call. The work per document runs in C: a date histogram sorts the
+    timestamps and bisects for the end of each non-empty bucket, a geo grid
+    bins each distinct (lat, lon) pair once, and stats checks the value
+    types once. A time range that covers an index's whole day is not
+    applied to it (see `_matches`)."""
     if isinstance(agg, TermsAgg):
-        (values,) = field_values(store, indices, q, time_range, agg.field)
         if agg.top_n < 1:
             raise AggregationError("top_n must be >= 1")
+        (values,) = field_values(store, indices, q, time_range, agg.field)
         counts = Counter(values)
         counts.pop(None, None)
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
         return ranked[: agg.top_n]
     if isinstance(agg, DateHistogramAgg):
-        (stamps,) = field_values(store, indices, q, time_range, "@timestamp")
         if agg.interval_seconds < 1:
             raise AggregationError("interval_seconds must be >= 1")
+        (stamps,) = field_values(store, indices, q, time_range, "@timestamp")
+        stamps.sort()
         span = agg.interval_seconds * 1000
-        return sorted(Counter(ts - ts % span for ts in stamps).items())
+        buckets, start = [], 0
+        while start < len(stamps):
+            key = stamps[start] - stamps[start] % span
+            end = bisect_left(stamps, key + span, start)
+            buckets.append((key, end - start))
+            start = end
+        return buckets
     if isinstance(agg, StatsAgg):
         (column,) = field_values(store, indices, q, time_range, agg.field)
-        values = []
-        for value in column:
-            if value is None:
-                continue
-            if type(value) is not int and type(value) is not float:
-                raise AggregationError(f"stats on non-numeric field {agg.field!r}")
-            values.append(float(value))
-        if not values:
+        present = list(filter(partial(is_not, None), column))
+        if not {int, float}.issuperset(map(type, present)):  # a bool is neither
+            raise AggregationError(f"stats on non-numeric field {agg.field!r}")
+        if not present:
             return {"count": 0, "min": None, "max": None, "mean": None, "sum": 0.0}
+        values = list(map(float, present))
         total = math.fsum(values)
         return {
             "count": len(values),
@@ -646,17 +679,17 @@ def aggregate(
             "sum": total,
         }
     if isinstance(agg, GeoGridAgg):
-        lats, lons = field_values(store, indices, q, time_range, "geo_lat", "geo_lon")
         cell = agg.cell_degrees
         if cell <= 0:
             raise AggregationError("cell_degrees must be positive")
-        counts2: dict[tuple[int, int], int] = {}
-        for lat, lon in zip(lats, lons):
+        lats, lons = field_values(store, indices, q, time_range, "geo_lat", "geo_lon")
+        cells: dict[tuple[int, int], int] = {}
+        for (lat, lon), n in Counter(zip(lats, lons)).items():
             if lat is None or lon is None:
                 continue
             key = (math.floor(lat / cell), math.floor(lon / cell))
-            counts2[key] = counts2.get(key, 0) + 1
-        ranked2 = sorted(counts2.items(), key=lambda kv: (-kv[1], kv[0]))
+            cells[key] = cells.get(key, 0) + n
+        ranked2 = sorted(cells.items(), key=lambda kv: (-kv[1], kv[0]))
         return [(la * cell, lo * cell, n) for (la, lo), n in ranked2]
     raise StoreError(f"unknown aggregation: {agg!r}")
 

@@ -12,6 +12,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .codecs import LogKind, classify_file
@@ -71,8 +72,6 @@ def tail_once(
         offset = entry.offset
 
     kind = classify_file(path)
-    records: list[RawRecord] = []
-    consumed = 0
     with open(path, "rb") as handle:
         handle.seek(offset)
         budget = max(1 << 16, 512 * max_records)
@@ -84,27 +83,21 @@ def tail_once(
                 break
             newlines += more.count(b"\n")
             data += more
-        end = data.rfind(b"\n")
-        if end >= 0:
-            start = 0
-            for raw in data[: end + 1].split(b"\n")[:-1]:
-                if len(records) >= max_records:
-                    break
-                records.append(
-                    RawRecord(
-                        line=raw.decode("utf-8", errors="replace"),
-                        source=path,
-                        offset=offset + start,
-                        beat_name=beat_name,
-                        doc_type="log",
-                        kind=kind,
-                    )
-                )
-                start += len(raw) + 1
-            consumed = start
+    limit = max(max_records, 0)
+    # An all-ASCII read is decoded in one call, any other line by line with
+    # invalid bytes replaced; an ASCII line's length is its byte count.
+    is_ascii = data.isascii()
+    lines = data.decode("ascii").split("\n", limit) if is_ascii else data.split(b"\n", limit)
+    lines.pop()  # what the batch leaves unread: later lines or a partial one
+    # Each line's offset, then the end of the last line.
+    starts = list(accumulate(map((1).__add__, map(len, lines)), initial=offset))
+    if not is_ascii:
+        lines = [raw.decode("utf-8", errors="replace") for raw in lines]
+    records = tuple(map(RawRecord, lines, repeat(path), starts, repeat(beat_name),
+                        repeat("log"), repeat(kind)))
 
     new_entry = RegistryEntry(
-        offset=offset + consumed,
+        offset=starts[-1],
         identity=identity,
         last_read=int(time.time() * 1000),
     )
@@ -114,7 +107,7 @@ def tail_once(
         new_registry = TailRegistry(entries)
     else:
         new_registry = registry
-    return Batch(records=tuple(records)), new_registry
+    return Batch(records=records), new_registry
 
 
 def checkpoint(registry: TailRegistry, store: str) -> None:

@@ -703,21 +703,26 @@ class TestColumns:
 class TestDayPruning:
     """A time range loads and searches exactly the days it overlaps.
 
-    Each case lists the days of `DAY_NAMES` it must load; the undated index
-    and no index outside the name pattern are loaded for every range.
+    Each case lists the days of `DAY_NAMES` it must load and the days it
+    covers whole, which are queried without the time range; the undated
+    index and no index outside the name pattern are loaded for every range.
     """
 
     CASES = {
-        "straddles_midnight": ((D2 - 1000, D2 + 1000), {1, 2}),
-        "ends_at_midnight_exclusive": ((D1 + 3_600_000, D2), {1}),
-        "starts_at_235959999": ((D2 - 1, D3), {1, 2}),
-        "open_start": ((None, D2), {1}),
-        "open_end": ((D3 - 1, None), {2, 3}),
-        "open_both": ((None, None), {1, 2, 3}),
-        "nan_start": ((NAN, D2), {1}),
-        "nan_end": ((D2, NAN), {2, 3}),
-        "nan_both": ((NAN, NAN), {1, 2, 3}),
-        "after_the_last_day": ((D3 + DAY_MS, None), set()),
+        "straddles_midnight": ((D2 - 1000, D2 + 1000), {1, 2}, set()),
+        "ends_at_midnight_exclusive": ((D1 + 3_600_000, D2), {1}, set()),
+        "starts_at_235959999": ((D2 - 1, D3), {1, 2}, {2}),
+        "whole_day": ((D2, D3), {2}, {2}),
+        "ends_at_235959999": ((D2, D3 - 1), {2}, set()),
+        "open_start": ((None, D2), {1}, {1}),
+        "open_end": ((D3 - 1, None), {2, 3}, {3}),
+        "open_both": ((None, None), {1, 2, 3}, {1, 2, 3}),
+        "nan_start": ((NAN, D2), {1}, set()),
+        "nan_start_whole_days": ((NAN, D3), {1, 2}, set()),
+        "nan_end": ((D2, NAN), {2, 3}, set()),
+        "nan_both": ((NAN, NAN), {1, 2, 3}, set()),
+        "inverted": ((D3, D2), set(), set()),
+        "after_the_last_day": ((D3 + DAY_MS, None), set(), set()),
     }
 
     @pytest.fixture(scope="class")
@@ -753,7 +758,7 @@ class TestDayPruning:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_pruned_load_and_search_are_exact(self, snapshot, case):
         root, docs = snapshot
-        time_range, days = self.CASES[case]
+        time_range, days, whole = self.CASES[case]
         pattern = "storm-backend-*"
         pruned = IX.load_store(root, pattern, time_range)
         assert set(pruned.indices) == {DAY_NAMES[d] for d in days} | {UNDATED}
@@ -761,6 +766,10 @@ class TestDayPruning:
         full = IX.load_store(root)
         shards = list(IX._matches(full, pattern, IX.MatchAll(), time_range))
         assert len(shards) == len(pruned.indices)
+        # Only a dated index whose whole day the range covers is queried
+        # without it, and so matches its shard's live set.
+        assert {name for name, shard, hits in shards if hits is shard.live} == {
+            DAY_NAMES[d] for d in whole}
 
         for q in (IX.MatchAll(), IX.Term("status", "ERROR")):
             hits = oracle_search(docs, q, time_range)
@@ -769,10 +778,122 @@ class TestDayPruning:
                 got = IX.search(st, pattern, q, time_range)
                 assert [(d.index_name, d.id) for d in got] == want
             buckets = Counter(d.fields["@timestamp"] // 3_600_000 * 3_600_000 for d in hits)
+            statuses = Counter(d.fields["status"] for d in hits)
+            stamps = [d.fields["@timestamp"] for d in hits]
             for st in (pruned, full):
                 got = IX.aggregate(st, pattern, q, IX.DateHistogramAgg(3600), time_range)
                 assert got == sorted(buckets.items())
-            assert IX.aggregate(pruned, pattern, q, IX.TermsAgg("status", 5), time_range) == (
-                IX.aggregate(full, pattern, q, IX.TermsAgg("status", 5), time_range)
-            )
+                got = IX.aggregate(st, pattern, q, IX.TermsAgg("status", 5), time_range)
+                assert got == sorted(statuses.items(), key=lambda kv: (-kv[1], kv[0]))
+                got = IX.aggregate(st, pattern, q, IX.StatsAgg("@timestamp"), time_range)
+                assert (got["count"], got["min"], got["max"]) == (
+                    len(stamps), min(stamps, default=None), max(stamps, default=None))
 
+
+def oracle_aggregate(docs, q, agg, time_range=None):
+    """The aggregation by a linear scan of the documents `q` matches."""
+    hits = oracle_search(docs, q, time_range)
+    if isinstance(agg, IX.TermsAgg):
+        counts = Counter(d.fields[agg.field] for d in hits if agg.field in d.fields)
+        return sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[: agg.top_n]
+    if isinstance(agg, IX.DateHistogramAgg):
+        span = agg.interval_seconds * 1000
+        return sorted(Counter(d.fields["@timestamp"] // span * span for d in hits).items())
+    if isinstance(agg, IX.StatsAgg):
+        values = [d.fields.get(agg.field) for d in hits]
+        values = [v for v in values if v is not None]
+        if any(type(v) not in (int, float) for v in values):
+            raise IX.AggregationError(agg.field)
+        if not values:
+            return {"count": 0, "min": None, "max": None, "mean": None, "sum": 0.0}
+        total = math.fsum(values)
+        return {"count": len(values), "min": float(min(values)), "max": float(max(values)),
+                "mean": total / len(values), "sum": total}
+    cell = agg.cell_degrees
+    cells = Counter(
+        (math.floor(d.fields["geo_lat"] / cell), math.floor(d.fields["geo_lon"] / cell))
+        for d in hits if "geo_lat" in d.fields and "geo_lon" in d.fields)
+    ranked = sorted(cells.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [(la * cell, lo * cell, n) for (la, lo), n in ranked]
+
+
+class TestAggregationOracle:
+    """Every aggregation kind equals a linear scan, on random documents."""
+
+    BEFORE = "storm-agg-1969.12.31"  # replaced ids leave dead ordinals here
+    AFTER = "storm-agg-1970.01.01"
+    ARCHIVE = "storm-agg-archive"
+    AGGS = (
+        IX.TermsAgg("status", 1), IX.TermsAgg("status", 3),
+        *map(IX.DateHistogramAgg, (1, 7, 60, 3600, 86_400)),
+        IX.StatsAgg("size"), IX.StatsAgg("geo_lat"), IX.StatsAgg("absent"), IX.StatsAgg("flag"),
+        *map(IX.GeoGridAgg, (0.25, 1.0, 5.0)),
+    )
+
+    @staticmethod
+    def random_doc(rng, id_, index_name, ts):
+        fields = {"@timestamp": ts}
+        if rng.random() < 0.8:
+            fields["status"] = rng.choice(["INFO", "WARN", "ERROR"])
+        if rng.random() < 0.8:
+            fields["size"] = rng.choice([rng.randrange(-50, 50), rng.uniform(-50, 50)])
+        if rng.random() < 0.1:
+            fields["flag"] = rng.choice([0, 1.5])
+        if rng.random() < 0.7:
+            fields["geo_lat"] = rng.choice([-0.0, 0.0, -12.5, rng.uniform(-90, 90)])
+            if rng.random() < 0.8:
+                fields["geo_lon"] = rng.choice([-0.0, -179.9, rng.uniform(-180, 180), 7])
+        return Document(id=id_, fields=fields, index_name=index_name)
+
+    @pytest.fixture(scope="class")
+    def stores(self, tmp_path_factory):
+        rng = random.Random(41)
+        live = {}
+        store = IX.Store()
+        for i in range(600):
+            name = (self.BEFORE, self.AFTER, self.ARCHIVE)[i % 3]
+            if name == self.BEFORE:
+                ts = rng.randrange(-DAY_MS, 0)
+            elif name == self.AFTER:
+                ts = rng.randrange(0, DAY_MS)
+            else:
+                ts = rng.randrange(-3 * DAY_MS, 3 * DAY_MS)
+            doc = self.random_doc(rng, f"{name[-5:]}-{i:04d}", name, ts)
+            live[doc.id] = doc
+            IX.index_document(store, doc)
+        # Stats over "flag" raise wherever this document matches.
+        flagged = Document(id="flagged", index_name=self.AFTER,
+                           fields={"@timestamp": 5, "status": "INFO", "flag": True})
+        live[flagged.id] = flagged
+        IX.index_document(store, flagged)
+        for old in rng.sample([d for d in live.values() if d.index_name == self.BEFORE], 60):
+            doc = self.random_doc(rng, old.id, old.index_name, rng.randrange(-DAY_MS, 0))
+            live[doc.id] = doc
+            IX.index_document(store, doc)
+        root = str(tmp_path_factory.mktemp("aggs"))
+        IX.save_store(store, root)
+        loaded = IX.load_store(root)
+        before = store.indices[self.BEFORE]
+        assert len(before.shards[0].ids) > before.doc_count
+        assert all(len(index.shards[0].ids) == index.doc_count
+                   for index in loaded.indices.values())
+        return {"fresh": store, "loaded": loaded}, list(live.values())
+
+    @pytest.mark.parametrize("which", ["fresh", "loaded"])
+    def test_every_kind_equals_a_linear_scan(self, stores, which):
+        by_name, docs = stores
+        store = by_name[which]
+        queries = (IX.MatchAll(), IX.Term("status", "ERROR"), IX.Not(IX.Term("status", "INFO")),
+                   IX.Range("size", min=-10, max=10.5))
+        ranges = (None, (-DAY_MS, DAY_MS), (-DAY_MS // 2, DAY_MS // 3), (None, 0), (NAN, None))
+        for q in queries:
+            for time_range in ranges:
+                for agg in self.AGGS:
+                    try:
+                        want = oracle_aggregate(docs, q, agg, time_range)
+                    except IX.AggregationError:  # stats over a bool
+                        with pytest.raises(IX.AggregationError):
+                            IX.aggregate(store, "storm-agg-*", q, agg, time_range)
+                        continue
+                    got = IX.aggregate(store, "storm-agg-*", q, agg, time_range)
+                    assert got == want, (q, time_range, agg)

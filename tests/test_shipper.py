@@ -58,6 +58,33 @@ class TestTailOnce:
             start = record.offset
             assert data[start : start + len(record.line)].decode() == record.line
 
+    def test_mixed_utf8_batches_under_cuts_resume_at_the_next_byte(self, tmp_path):
+        # ASCII lines, multi-byte UTF-8 and an invalid byte in one read, cut
+        # by max_records mid-read; the last read is all ASCII and ends in a
+        # partial line that a later write completes with a multi-byte one.
+        lines = [b"ascii one", b"ascii two", "café ☃".encode(), b"bad \xff byte",
+                 b"", "\U0001f600 end".encode(), b"ascii three", b"ascii four"]
+        path = heartbeat_path(tmp_path)
+        with open(path, "wb") as handle:
+            handle.write(b"\n".join(lines) + b"\npartial")
+        starts = [0]
+        for raw in lines:
+            starts.append(starts[-1] + len(raw) + 1)
+        registry = SH.TailRegistry()
+        shipped = []
+        for cut in (2, 3, 2, 100):
+            batch, registry = SH.tail_once(registry, path, cut)
+            shipped += batch.records
+            assert registry.entries[path].offset == starts[len(shipped)]
+        assert [r.line for r in shipped] == [raw.decode("utf-8", "replace") for raw in lines]
+        assert shipped[3].line == "bad \ufffd byte"
+        assert [r.offset for r in shipped] == starts[:-1]
+        with open(path, "ab") as handle:
+            handle.write(" énd\n".encode())
+        batch, registry = SH.tail_once(registry, path, 100)
+        assert [(r.line, r.offset) for r in batch.records] == [("partial énd", starts[-1])]
+        assert registry.entries[path].offset == os.path.getsize(path)
+
     def test_rotation_resets_offset(self, tmp_path):
         path = heartbeat_path(tmp_path)
         write(path, "old1\nold2\n")
