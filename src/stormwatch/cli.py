@@ -342,14 +342,15 @@ def _job_series(root: str, job) -> metrics.MetricSeries:
 
 def _job_params(job) -> anomaly.DetectorParams:
     from . import anomaly
+    default = anomaly.DetectorParams()
     try:
-        cutpoints = tuple(job.get("thresholds", anomaly.LEVEL_CUTPOINTS))
+        cutpoints = tuple(job.get("thresholds", default.level_cutpoints))
         if len(cutpoints) != 4 or sorted(cutpoints) != list(cutpoints):
             raise ValueError("thresholds must be 4 ascending numbers")
         return anomaly.DetectorParams(
-            decay=float(job.get("decay", 0.02)),
-            warmup_buckets=int(job.get("warmup_buckets", 20)),
-            k_bound=float(job.get("k_bound", 3.0)),
+            decay=float(job.get("decay", default.decay)),
+            warmup_buckets=int(job.get("warmup_buckets", default.warmup_buckets)),
+            k_bound=float(job.get("k_bound", default.k_bound)),
             level_cutpoints=cutpoints,
         )
     except (TypeError, ValueError) as exc:

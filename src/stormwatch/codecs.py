@@ -19,6 +19,7 @@ date and handles midnight rollover.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -220,8 +221,13 @@ GRAMMARS: dict[LogKind, str] = {
 # A message may not contain a quote; matching that (not `DATA`) keeps a SURL
 # that ends in " msg=" inside the surl clause.
 _MSG_LIBRARY = "QUOTED [^']*\nMSG %{QUOTED:msg}"
-# Compiled on first use: read-only commands never parse a line.
-_COMPILED: dict[LogKind, patterns.CompiledPattern] = {}
+
+# The characters each kind of field may not hold: control characters, the
+# quote that delimits it, and a token's whitespace or a list's separator.
+_QUOTED_BAD = re.compile(r"['\x00-\x1f]")
+_TOKEN_BAD = re.compile(r"['\x00-\x1f\s]")
+_FQAN_BAD = re.compile(r"[,'\x00-\x1f]")
+_SURL_BAD = re.compile(r"[;'\x00-\x1f]")
 
 
 def classify_file(path: str) -> LogKind:
@@ -247,13 +253,9 @@ def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
-def _no_control(text: str) -> bool:
-    return all(ord(c) >= 0x20 for c in text)
-
-
 def _validate_quoted(text: str, what: str) -> None:
     _check(
-        "'" not in text and _no_control(text),
+        _QUOTED_BAD.search(text) is None,
         f"{what} may not contain quotes or control characters",
     )
 
@@ -261,7 +263,7 @@ def _validate_quoted(text: str, what: str) -> None:
 def _validate_token(text: str, what: str) -> None:
     _check(bool(text), f"{what} must be non-empty")
     _check(
-        "'" not in text and _no_control(text) and not any(c.isspace() for c in text),
+        _TOKEN_BAD.search(text) is None,
         f"{what} may not contain spaces, quotes or control characters",
     )
 
@@ -310,11 +312,7 @@ def validate_event(event: Event, line: str | None = None) -> None:
         _validate_quoted(event.user_dn, "user_dn")
         for fqan in event.fqans:
             _check(bool(fqan), "empty fqan", line)
-            _check(
-                "," not in fqan and "'" not in fqan and _no_control(fqan),
-                "bad fqan",
-                line,
-            )
+            _check(_FQAN_BAD.search(fqan) is None, "bad fqan", line)
         if event.surl is not None:
             _validate_quoted(event.surl, "surl")
         _validate_quoted(event.message, "message")
@@ -336,11 +334,7 @@ def validate_event(event: Event, line: str | None = None) -> None:
             _validate_quoted(event.user_dn, "user_dn")
         for surl in event.surls:
             _check(bool(surl), "empty surl", line)
-            _check(
-                ";" not in surl and "'" not in surl and _no_control(surl),
-                "bad surl",
-                line,
-            )
+            _check(_SURL_BAD.search(surl) is None, "bad surl", line)
         _validate_token(event.result, "result")
     elif isinstance(event, HeartbeatEvent):
         _check(event.seq >= 0, "negative seq", line)
@@ -436,6 +430,14 @@ def _split_list(text: str, sep: str) -> list[str]:
     return text.split(sep) if text else []
 
 
+# Compiled on first use: read-only commands never parse a line.
+@functools.lru_cache(maxsize=len(LogKind))
+def _grammar(kind: LogKind) -> patterns.CompiledPattern:
+    if kind not in GRAMMARS:
+        raise UnknownLogKind(f"unknown log kind: {kind}")
+    return patterns.compile(patterns.load_library(_MSG_LIBRARY), GRAMMARS[kind])
+
+
 def parse_line(kind: LogKind, line: str, day_context: DayContext | None = None) -> Event:
     """Parse one log line of the given kind into its typed event.
 
@@ -445,13 +447,7 @@ def parse_line(kind: LogKind, line: str, day_context: DayContext | None = None) 
     only a time of day (heartbeat, backend-metrics); when omitted, a fresh
     context anchored at the epoch is used.
     """
-    grammar = _COMPILED.get(kind)
-    if grammar is None:
-        if kind not in GRAMMARS:
-            raise UnknownLogKind(f"unknown log kind: {kind}")
-        library = patterns.load_library(_MSG_LIBRARY)
-        grammar = _COMPILED[kind] = patterns.compile(library, GRAMMARS[kind])
-    f = patterns.match_line(grammar, line)
+    f = patterns.match_line(_grammar(kind), line)
     if f is None:
         raise GrammarMismatch(f"{kind.value} grammar mismatch", line)
     if kind is LogKind.FRONTEND:

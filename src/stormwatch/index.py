@@ -45,7 +45,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator, Set
 from datetime import datetime, timezone
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, count, repeat
 from operator import is_not, itemgetter
 from typing import NamedTuple
@@ -472,27 +472,19 @@ class Store:
         self.deleted: set[str] = set()
 
 
-_DAY_BOUNDS_CACHE: dict[str, tuple[int, int] | None] = {}
-
-
+@lru_cache(maxsize=None)
 def _day_bounds(index_name: str) -> tuple[int, int] | None:
     """The [start, end) milliseconds of the UTC day a `-YYYY.MM.DD` name
     carries, or None for a name without a valid date suffix."""
-    try:
-        return _DAY_BOUNDS_CACHE[index_name]
-    except KeyError:
-        pass
-    bounds = None
     m = _DATED_INDEX_RE.search(index_name)
-    if m is not None:
-        try:
-            day = datetime(int(m[1]), int(m[2]), int(m[3]), tzinfo=timezone.utc)
-            start = int(day.timestamp()) * 1000
-            bounds = (start, start + 86_400_000)
-        except ValueError:  # not a calendar day, such as 2024.02.30
-            pass
-    _DAY_BOUNDS_CACHE[index_name] = bounds
-    return bounds
+    if m is None:
+        return None
+    try:
+        day = datetime(int(m[1]), int(m[2]), int(m[3]), tzinfo=timezone.utc)
+    except ValueError:  # not a calendar day, such as 2024.02.30
+        return None
+    start = int(day.timestamp()) * 1000
+    return (start, start + 86_400_000)
 
 
 def _check_day(index_name: str, timestamp: int) -> bool:
@@ -689,7 +681,10 @@ def aggregate(
                 continue
             key = (math.floor(lat / cell), math.floor(lon / cell))
             cells[key] = cells.get(key, 0) + n
-        ranked2 = sorted(cells.items(), key=lambda kv: (-kv[1], kv[0]))
+        # Count descending, then cell ascending: a stable sort by count of
+        # the cells in order ranks them in C.
+        ranked2 = sorted(cells.items())
+        ranked2.sort(key=itemgetter(1), reverse=True)
         return [(la * cell, lo * cell, n) for (la, lo), n in ranked2]
     raise StoreError(f"unknown aggregation: {agg!r}")
 

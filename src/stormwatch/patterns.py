@@ -2,7 +2,7 @@
 
 A pattern expression is a regular expression in which `%{NAME}`,
 `%{NAME:field}` or `%{NAME:field:type}` references expand to the named
-entry of a :class:`PatternLibrary`. Compilation expands references
+body of a library (a `dict` of name -> body). Compilation expands references
 transitively and records the captures in left-to-right order; matching
 converts every captured string to its declared semantic type, and a single
 failed conversion fails the whole match (no partial results).
@@ -82,43 +82,15 @@ class DuplicateCaptureError(PatternError):
     pass
 
 
-@dataclass(frozen=True)
-class PatternDef:
-    name: str
-    body: str
-
-
-class PatternLibrary:
-    """Immutable name -> pattern body mapping; builtins cannot be shadowed."""
-
-    def __init__(self, entries: dict[str, PatternDef] | None = None) -> None:
-        self._entries: dict[str, PatternDef] = {
-            name: PatternDef(name, body) for name, body in BUILTIN_PATTERNS.items()
-        }
-        if entries:
-            for name, entry in entries.items():
-                if name in BUILTIN_PATTERNS:
-                    raise LibraryFormatError(f"builtin shadowed: {name}")
-                self._entries[name] = entry
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def get(self, name: str) -> PatternDef | None:
-        return self._entries.get(name)
-
-    def names(self) -> list[str]:
-        return sorted(self._entries)
-
-
-def load_library(document: str) -> PatternLibrary:
-    """Parse a pattern definition document into a library.
+def load_library(document: str) -> dict[str, str]:
+    """Parse a pattern definition document into a library: the builtins
+    plus its definitions, as name -> body.
 
     Format: one `NAME body` definition per line; `#` starts a comment line;
     blank lines are ignored. Definitions may not shadow builtins or repeat
     a name.
     """
-    entries: dict[str, PatternDef] = {}
+    entries: dict[str, str] = {}
     for lineno, raw in enumerate(document.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -133,17 +105,16 @@ def load_library(document: str) -> PatternLibrary:
             raise LibraryFormatError(f"line {lineno}: builtin shadowed: {name}")
         if name in entries:
             raise LibraryFormatError(f"line {lineno}: duplicate name: {name}")
-        entries[name] = PatternDef(name, body)
-    return PatternLibrary(entries)
+        entries[name] = body
+    return {**BUILTIN_PATTERNS, **entries}
 
 
 @dataclass(frozen=True)
 class CompiledPattern:
-    """A fully expanded pattern: regex source plus ordered typed captures."""
+    """A fully expanded pattern: its regex plus ordered typed captures."""
 
-    source: str
+    regex: re.Pattern
     captures: tuple[tuple[str, str], ...]
-    regex: re.Pattern = field(repr=False, compare=False)
     # Regex group number per capture (bodies may contain bare groups, so
     # positions are resolved through groupindex, not assumed sequential).
     group_numbers: tuple[int, ...] = field(repr=False, compare=False, default=())
@@ -170,7 +141,7 @@ def _parse_reference(token: str) -> tuple[str, str | None, str]:
     return name, fieldname, ftype
 
 
-def compile(library: PatternLibrary, expr: str) -> CompiledPattern:
+def compile(library: dict[str, str], expr: str) -> CompiledPattern:
     """Expand all `%{...}` references in `expr` and compile the result.
 
     Expansion is iterative (an explicit frame stack), so deep but acyclic
@@ -200,8 +171,8 @@ def compile(library: PatternLibrary, expr: str) -> CompiledPattern:
         out.append(body[pos : m.start()])
         frame[1] = m.end()
         name, fieldname, ftype = _parse_reference(m.group(1))
-        entry = library.get(name)
-        if entry is None:
+        sub = library.get(name)
+        if sub is None:
             raise UnknownPatternError(f"unknown sub-pattern: {name}")
         if name in active:
             raise CyclicPatternError(f"cyclic reference through: {name}")
@@ -214,7 +185,7 @@ def compile(library: PatternLibrary, expr: str) -> CompiledPattern:
             captures.append((fieldname, ftype))
             out.append(f"(?P<c{len(captures) - 1}>")
         active.add(name)
-        frames.append([entry.body, 0, name, ")"])
+        frames.append([sub, 0, name, ")"])
 
     source = "".join(out)
     # sre's parser recurses per nested group; deep reference chains expand to
@@ -230,9 +201,7 @@ def compile(library: PatternLibrary, expr: str) -> CompiledPattern:
     finally:
         sys.setrecursionlimit(old_limit)
     numbers = tuple(regex.groupindex[f"c{i}"] for i in range(len(captures)))
-    return CompiledPattern(
-        source=source, captures=tuple(captures), regex=regex, group_numbers=numbers
-    )
+    return CompiledPattern(regex=regex, captures=tuple(captures), group_numbers=numbers)
 
 
 def _convert(raw: str, ftype: str):

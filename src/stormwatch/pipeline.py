@@ -12,6 +12,7 @@ after its kind and UTC day.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import ipaddress
 import json
@@ -52,67 +53,35 @@ class DeadLetter:
     reason: str
 
 
-@dataclass(frozen=True)
-class GeoRow:
-    version: int
-    network: int
-    prefixlen: int
-    lat: float
-    lon: float
-    label: str
-
-
 class GeoTable:
-    """Static CIDR -> coordinates table with longest-prefix lookup."""
+    """Static CIDR -> coordinates table with longest-prefix lookup over
+    `(ip_network, lat, lon, label)` rows."""
 
-    def __init__(self, rows: list[GeoRow]) -> None:
-        self.rows = tuple(rows)
-        self._by_prefix: dict[tuple[int, int], dict[int, GeoRow]] = {}
-        for row in rows:
-            bucket = self._by_prefix.setdefault((row.version, row.prefixlen), {})
-            if row.network in bucket:
-                raise GeoTableError(f"duplicate cidr at prefix /{row.prefixlen}")
-            bucket[row.network] = row
-        self._prefixes: dict[int, list[int]] = {}
-        for version, prefixlen in self._by_prefix:
-            self._prefixes.setdefault(version, []).append(prefixlen)
-        for lens in self._prefixes.values():
-            lens.sort(reverse=True)
+    def __init__(self, rows: list[tuple]) -> None:
+        # Longest prefix first: the first network holding an address is its
+        # longest match.
+        self.rows = tuple(sorted(rows, key=lambda row: -row[0].prefixlen))
         # Client pools repeat few distinct addresses; memoize resolved ones.
-        self._cache: dict[str, tuple[float, float, str] | None] = {}
-
-    def lookup(self, ip: str) -> tuple[float, float, str] | None:
-        """Longest-prefix match; absent for private/reserved addresses."""
-        hit = self._cache.get(ip, -1)
-        if hit != -1:
-            return hit  # type: ignore[return-value]
-        result = self._lookup(ip)
-        if len(self._cache) > 100_000:
-            self._cache.clear()
-        self._cache[ip] = result
-        return result
+        self.lookup = functools.lru_cache(maxsize=100_000)(self._lookup)
 
     def _lookup(self, ip: str) -> tuple[float, float, str] | None:
+        """Longest-prefix match; absent for private/reserved addresses."""
         try:
             addr = ipaddress.ip_address(ip)
         except ValueError:
             return None
         if not addr.is_global:
             return None
-        value = int(addr)
-        bits = addr.max_prefixlen
-        for prefixlen in self._prefixes.get(addr.version, ()):
-            network = value >> (bits - prefixlen) << (bits - prefixlen)
-            row = self._by_prefix[(addr.version, prefixlen)].get(network)
-            if row is not None:
-                return (row.lat, row.lon, row.label)
+        for network, lat, lon, label in self.rows:
+            if addr in network:
+                return (lat, lon, label)
         return None
 
 
 def load_geo_table(csv_text: str) -> GeoTable:
     """Parse `cidr,lat,lon,label` rows; networks are normalized (host bits
     masked) before the duplicate check."""
-    rows: list[GeoRow] = []
+    rows = []
     for lineno, raw in enumerate(csv_text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -128,16 +97,12 @@ def load_geo_table(csv_text: str) -> GeoTable:
             raise GeoTableError(f"line {lineno}: {exc}") from exc
         if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
             raise GeoTableError(f"line {lineno}: coordinates out of range")
-        rows.append(
-            GeoRow(
-                version=net.version,
-                network=int(net.network_address),
-                prefixlen=net.prefixlen,
-                lat=lat,
-                lon=lon,
-                label=parts[3].strip(),
-            )
-        )
+        rows.append((net, lat, lon, parts[3].strip()))
+    seen = set()
+    for net, _, _, _ in rows:
+        if net in seen:
+            raise GeoTableError(f"duplicate cidr at prefix /{net.prefixlen}")
+        seen.add(net)
     return GeoTable(rows)
 
 
@@ -167,7 +132,7 @@ def _typed(value, kind: type, what: str):
 
 def _build_stage(
     spec: dict,
-    library: patterns.PatternLibrary,
+    library: dict[str, str],
     geo_table: GeoTable,
     day_contexts: dict[tuple[str, str], DayContext],
     where: str,

@@ -5,6 +5,7 @@ All timestamps are integer epoch milliseconds, all calendar arithmetic is UTC.
 
 from __future__ import annotations
 
+import functools
 import re
 from datetime import datetime, timezone
 
@@ -22,13 +23,8 @@ _TOD_RE = re.compile(r"(\d{2}):(\d{2}):(\d{2})\.(\d{3})$")
 
 # Log streams repeat the same second thousands of times; cache the calendar
 # part (up to seconds, UTC) to skip datetime construction on the hot path.
-_SECONDS_CACHE: dict[str, int] = {}
-
-
+@functools.lru_cache(maxsize=1_000_000)
 def _seconds_utc(prefix: str) -> int:
-    cached = _SECONDS_CACHE.get(prefix)
-    if cached is not None:
-        return cached
     dt = datetime(
         int(prefix[0:4]),
         int(prefix[5:7]),
@@ -38,11 +34,7 @@ def _seconds_utc(prefix: str) -> int:
         int(prefix[17:19]),
         tzinfo=timezone.utc,
     )
-    value = int(dt.timestamp())
-    if len(_SECONDS_CACHE) > 1_000_000:
-        _SECONDS_CACHE.clear()
-    _SECONDS_CACHE[prefix] = value
-    return value
+    return int(dt.timestamp())
 
 
 def parse_iso8601_ms(text: str) -> int:
@@ -102,18 +94,14 @@ def day_start_ms(epoch_ms: int) -> int:
     return epoch_ms - epoch_ms % MS_PER_DAY
 
 
-_DAY_NAME_CACHE: dict[int, str] = {}
-
-
 def day_name(epoch_ms: int) -> str:
     """UTC day of an epoch, formatted `YYYY.MM.DD` (index name convention)."""
-    day_ms = epoch_ms - epoch_ms % MS_PER_DAY
-    cached = _DAY_NAME_CACHE.get(day_ms)
-    if cached is None:
-        dt = datetime.fromtimestamp(day_ms // MS_PER_SECOND, tz=timezone.utc)
-        cached = dt.strftime("%Y.%m.%d")
-        _DAY_NAME_CACHE[day_ms] = cached
-    return cached
+    return _day_name(epoch_ms - epoch_ms % MS_PER_DAY)
+
+
+@functools.lru_cache(maxsize=None)
+def _day_name(day_ms: int) -> str:
+    return datetime.fromtimestamp(day_ms // MS_PER_SECOND, tz=timezone.utc).strftime("%Y.%m.%d")
 
 
 def parse_date_ms(text: str) -> int:

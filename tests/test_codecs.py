@@ -144,6 +144,42 @@ class TestInvariants:
         assert err.value.line == "garbage"
 
 
+class TestCharacterRules:
+    """Each field rule is a compiled character class; it must reject exactly
+    the characters that the per-character predicates it replaced rejected."""
+
+    # The reference: the predicates the codec ran once per character.
+    REFERENCE = {
+        "_QUOTED_BAD": lambda c: c == "'" or ord(c) < 0x20,
+        "_TOKEN_BAD": lambda c: c == "'" or ord(c) < 0x20 or c.isspace(),
+        "_FQAN_BAD": lambda c: c == "," or c == "'" or ord(c) < 0x20,
+        "_SURL_BAD": lambda c: c == ";" or c == "'" or ord(c) < 0x20,
+    }
+
+    @pytest.mark.parametrize("rule", sorted(REFERENCE))
+    def test_class_rejects_what_the_reference_rejects(self, rule):
+        every = "".join(map(chr, range(0x110000)))
+        got = [m.start() for m in getattr(C, rule).finditer(every)]
+        expected = [i for i, c in enumerate(every) if self.REFERENCE[rule](c)]
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "event,message",
+        [
+            (C.FrontendEvent(0, "INFO", "r", "u'", [], "op", None, "m"),
+             "user_dn may not contain quotes or control characters"),
+            (C.FrontendEvent(0, "INFO", "r", "u", [], "o\u2003p", None, "m"),
+             "operation may not contain spaces, quotes or control characters"),
+            (C.FrontendEvent(0, "INFO", "r", "u", ["/a", "/b,c"], "op", None, "m"),
+             "bad fqan"),
+            (C.BackendEvent(0, "INFO", "r", None, "op", ["srm://a;b"], "R"), "bad surl"),
+        ],
+    )
+    def test_messages_unchanged(self, event, message):
+        with pytest.raises(C.FieldRange, match=f"^{message}$"):
+            C.render_line(event)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("kind", list(C.LogKind), ids=lambda k: k.value)
     def test_seeded_random_events(self, kind):

@@ -64,6 +64,23 @@ class TestGenerate:
         LG.generate(workload, [], str(tmp_path / "b"))
         assert file_hashes(tmp_path / "a") == file_hashes(tmp_path / "b")
 
+    def test_output_is_pinned(self, tmp_path):
+        # Parent and change of a benchmark run each generate their corpus
+        # with their own generator; a changed digest means they measure
+        # different inputs.
+        LG.generate(LG.WorkloadSpec(seed=11, duration_seconds=600), [], str(tmp_path))
+        assert file_hashes(tmp_path) == {
+            "heartbeat.log": "fee6b06d720b11f70c5bbe6ec464c31e31a681e0c4978dc64ca1b281aef40650",
+            "monitoring.log": "8d099c73aa940b556e877e20b163833e7ff9dc70f1e91c67ecc2a9431cac9648",
+            "storm-backend-metrics.log":
+                "0fbe25f0075498056cb1932999ed9125a8a2e977502f0d59fde9e842b651f942",
+            "storm-backend.log":
+                "22634eab92ff8a735f7bbe4df5e2966df317f6981540e96c49e71239a3dbaf0f",
+            "storm-frontend-server.log":
+                "69b1803b3bc75c121723dc2b9fbd7f7d0285ed39de8cb1facde0e9b165155c6a",
+            "truth.json": "179d1f57f0bd7f951177317ce5e1136ddf6037ed0482e3d5eec49e75e97fa263",
+        }
+
     def test_different_seed_differs(self, tmp_path):
         LG.generate(LG.WorkloadSpec(seed=1, duration_seconds=180), [], str(tmp_path / "a"))
         LG.generate(LG.WorkloadSpec(seed=2, duration_seconds=180), [], str(tmp_path / "b"))

@@ -349,31 +349,59 @@ class TestGeoTable:
         assert table.lookup("131.154.200.1")[2] == "narrow"
         assert table.lookup("131.154.10.1")[2] == "wide"
 
+    def test_mixed_ipv4_and_ipv6_rows(self):
+        table = PL.load_geo_table(
+            "131.154.0.0/16,44.49,11.34,bologna-v4\n"
+            "2001:1458::/32,46.23,6.05,geneva-v6\n"
+            "2a00:1450::/32,1.0,1.0,wide-v6\n"
+            "2a00:1450:4000::/37,2.0,2.0,narrow-v6\n"
+            "2001:db8::/32,3.0,3.0,documentation\n"
+            "fc00::/7,4.0,4.0,unique-local\n"
+            "fe80::/10,5.0,5.0,link-local\n"
+        )
+        assert table.lookup("2001:1458:201::1") == (46.23, 6.05, "geneva-v6")
+        assert table.lookup("2a00:1450:4001::5")[2] == "narrow-v6"
+        assert table.lookup("2a00:1450:8000::1")[2] == "wide-v6"
+        assert table.lookup("131.154.1.1")[2] == "bologna-v4"
+        for ip in ("2001:db8::1", "fc00::1", "fe80::1", "::1"):  # not global
+            assert table.lookup(ip) is None, ip
+
+    def test_ipv4_and_ipv6_never_cross_match(self):
+        any_v4 = PL.load_geo_table("0.0.0.0/0,1.0,1.0,any-v4\n")
+        assert any_v4.lookup("2001:1458:201::1") is None
+        assert any_v4.lookup("131.154.1.1")[2] == "any-v4"
+        # ::/96 holds the v6 address with the same integer as 131.154.1.1.
+        any_v6 = PL.load_geo_table("::/0,2.0,2.0,any-v6\n::/96,3.0,3.0,low-v6\n")
+        assert any_v6.lookup("131.154.1.1") is None
+        assert any_v6.lookup("2001:1458:201::1")[2] == "any-v6"
+
     def test_brute_force_oracle_over_random_ips(self):
         table = PL.load_geo_table(PL.default_geo_csv())
-        networks = [
-            (ipaddress.ip_network(f"{ipaddress.ip_address(row.network)}/{row.prefixlen}"), row)
-            for row in table.rows
-        ]
+        # The oracle reads the packaged CSV itself and matches with bit masks.
+        blocks = []
+        for line in PL.default_geo_csv().splitlines():
+            if not line.strip() or line.startswith("#"):
+                continue
+            cidr, lat, lon, label = line.split(",")
+            base, bits = cidr.split("/")
+            shift = 32 - int(bits)
+            value = int(ipaddress.IPv4Address(base)) >> shift
+            blocks.append((shift, value, (float(lat), float(lon), label.strip())))
         rng = random.Random(404)
         candidates = []
         for _ in range(6000):
             candidates.append(str(ipaddress.ip_address(rng.getrandbits(32))))
-        for net, _row in networks:  # force coverage of every configured block
-            base = int(net.network_address)
+        for shift, value, _ in blocks:  # force coverage of every configured block
+            base = value << shift
             for _ in range(30):
                 candidates.append(str(ipaddress.ip_address(base + rng.getrandbits(10))))
         for ip in candidates:
             addr = ipaddress.ip_address(ip)
-            if not addr.is_global:
-                expected = None
+            hits = [(shift, row) for shift, value, row in blocks if int(addr) >> shift == value]
+            if addr.is_global and hits:
+                expected = min(hits)[1]  # the smallest shift is the longest prefix
             else:
-                hits = [row for net, row in networks if addr in net]
-                if hits:
-                    best = max(hits, key=lambda row: row.prefixlen)
-                    expected = (best.lat, best.lon, best.label)
-                else:
-                    expected = None
+                expected = None
             assert table.lookup(ip) == expected, ip
 
 
