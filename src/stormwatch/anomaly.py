@@ -31,7 +31,7 @@ LEVEL_CUTPOINTS = (5.0, 25.0, 50.0, 75.0)
 LEVEL_NAMES = ("low", "warning", "major", "critical")
 
 
-class WarmupError(RuntimeError):
+class WarmupError(ValueError):
     pass
 
 

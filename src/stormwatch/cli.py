@@ -3,7 +3,10 @@
 Subcommands: loggen, ingest, query, agg, report, ml detect, ml forecast,
 index rm. Exit codes: 0 success, 1 usage or configuration error, 2 data
 error (dead-letter fraction above threshold, unreadable or corrupt store or
-registry), 3 internal error.
+registry), 3 internal error. An error's base class decides its code: every
+layer raises a ValueError for bad input or configuration (1), and a
+StoreError, or a file's OSError, for data it cannot read (2); anything else
+is a bug (3).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -51,13 +54,10 @@ def _parse_anomaly(text: str) -> loggen.AnomalySpec:
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise UsageError(f"expected kind:start:end[:magnitude], got {text!r}")
-    try:
-        magnitude = float(parts[3]) if len(parts) == 4 else 10.0
-        return loggen.AnomalySpec(
-            kind=parts[0], start_s=int(parts[1]), end_s=int(parts[2]), magnitude=magnitude
-        )
-    except (ValueError, loggen.LoggenError) as exc:
-        raise UsageError(str(exc)) from exc
+    magnitude = float(parts[3]) if len(parts) == 4 else 10.0
+    return loggen.AnomalySpec(
+        kind=parts[0], start_s=int(parts[1]), end_s=int(parts[2]), magnitude=magnitude
+    )
 
 
 def _load_query(text: str | None) -> index_store.Query:
@@ -65,7 +65,7 @@ def _load_query(text: str | None) -> index_store.Query:
         return index_store.MatchAll()
     try:
         return index_store.query_from_json(json.loads(text))
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad query: {exc}") from exc
 
 
@@ -154,7 +154,7 @@ def ingest(pipe, store, ship, paths, dead_file) -> dict[str, int]:
 
 
 def cmd_ingest(args) -> int:
-    from . import codecs, pipeline, shipper
+    from . import pipeline, shipper
     if args.batch_size < 1:
         raise UsageError("--batch-size must be >= 1")
     for path in args.paths:
@@ -175,10 +175,7 @@ def cmd_ingest(args) -> int:
 
     started = time.perf_counter()
     with open(dead_path, "a", encoding="utf-8") as dead_file:
-        try:
-            counts = ingest(pipe, store, ship, args.paths, dead_file)
-        except codecs.UnknownLogKind as exc:
-            raise UsageError(str(exc)) from exc
+        counts = ingest(pipe, store, ship, args.paths, dead_file)
     elapsed = time.perf_counter() - started
     # The store holds only the indices this run wrote to; until the save,
     # the indices on disk are those from before the run.
@@ -252,7 +249,7 @@ def cmd_agg(args) -> int:
     q = _load_query(args.q)
     try:
         agg = index_store.aggregation_from_json(json.loads(args.agg))
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"bad aggregation: {exc}") from exc
     result = index_store.aggregate(store, args.index, q, agg, time_range)
     for line in _render_rows(*_agg_rows(agg, result), args.format):
@@ -329,15 +326,11 @@ def _job_series(root: str, job) -> metrics.MetricSeries:
         spec = metrics.metric_spec_from_json(job["metric"])
         from_ms = _parse_when(str(job["from"]))
         to_ms = _parse_when(str(job["to"]))
-    except (KeyError, ValueError, metrics.MetricError) as exc:
+    except (KeyError, ValueError) as exc:
         raise UsageError(f"bad job config: {exc}") from exc
     store = index_store.load_store(root, spec.indices, (from_ms, to_ms))
     series = metrics.build_series(store, spec, from_ms, to_ms)
-    policy = job.get("gap_policy", "skip")
-    try:
-        return metrics.gap_fill(series, policy)
-    except metrics.MetricError as exc:
-        raise UsageError(str(exc)) from exc
+    return metrics.gap_fill(series, job.get("gap_policy", "skip"))
 
 
 def _job_params(job) -> anomaly.DetectorParams:
@@ -345,7 +338,8 @@ def _job_params(job) -> anomaly.DetectorParams:
     default = anomaly.DetectorParams()
     try:
         cutpoints = tuple(job.get("thresholds", default.level_cutpoints))
-        if len(cutpoints) != 4 or sorted(cutpoints) != list(cutpoints):
+        if (len(cutpoints) != 4 or not {int, float}.issuperset(map(type, cutpoints))
+                or sorted(cutpoints) != list(cutpoints)):
             raise ValueError("thresholds must be 4 ascending numbers")
         return anomaly.DetectorParams(
             decay=float(job.get("decay", default.decay)),
@@ -353,7 +347,7 @@ def _job_params(job) -> anomaly.DetectorParams:
             k_bound=float(job.get("k_bound", default.k_bound)),
             level_cutpoints=cutpoints,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad job config: {exc}") from exc
 
 
@@ -393,7 +387,7 @@ def cmd_ml_forecast(args) -> int:
     job = _load_job(args.job)
     try:
         beta = float(job.get("beta", 0.05))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad job config: {exc}") from exc
     series = _job_series(args.store, job)
     result = anomaly.detect(series, _job_params(job))
@@ -424,13 +418,13 @@ def cmd_index_rm(args) -> int:
             names.append(pattern)
     if not names:
         raise UsageError("no indices matched")
+    # All or nothing: every name resolves before the save deletes any.
+    names = list(dict.fromkeys(names))
     for name in names:
-        try:
-            index_store.delete_index(store, name)
-        except index_store.UnknownIndex as exc:
-            raise UsageError(str(exc)) from exc
-        print(f"deleted {name}")
+        index_store.delete_index(store, name)
     index_store.save_store(store, args.store)
+    for name in names:
+        print(f"deleted {name}")
     return EXIT_OK
 
 
@@ -520,13 +514,10 @@ def build_parser() -> _Parser:
 
 
 def _exit_code(exc: Exception) -> int:
-    """The exit code for an exception that a command raised. Its modules are
-    imported on this error path only; each layer's config error is a ValueError."""
-    from . import anomaly, shipper
-    if isinstance(exc, (UsageError, ValueError, index_store.MalformedPattern,
-                        index_store.AggregationError, anomaly.WarmupError)):
+    """The exit code for an exception that a command raised, by its base class."""
+    if isinstance(exc, ValueError):
         return EXIT_USAGE
-    if isinstance(exc, (OSError, index_store.StoreError, shipper.ShipperError)):
+    if isinstance(exc, (OSError, index_store.StoreError)):
         return EXIT_DATA
     return EXIT_INTERNAL
 

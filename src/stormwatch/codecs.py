@@ -58,15 +58,11 @@ CANONICAL_FILENAMES = {
 FILENAME_FOR_KIND = {kind: name for name, kind in CANONICAL_FILENAMES.items()}
 
 
-class CodecError(ValueError):
+class UnknownLogKind(ValueError):
     pass
 
 
-class UnknownLogKind(CodecError):
-    pass
-
-
-class ParseError(CodecError):
+class ParseError(ValueError):
     def __init__(self, reason: str, line: str | None = None) -> None:
         super().__init__(reason if line is None else f"{reason}: {line!r}")
         self.reason = reason
@@ -244,9 +240,9 @@ def classify_file(path: str) -> LogKind:
     raise UnknownLogKind(f"not a recognized log file name: {base!r}")
 
 
-def _check(condition: bool, reason: str, line: str | None = None) -> None:
+def _check(condition: bool, reason: str) -> None:
     if not condition:
-        raise FieldRange(reason, line)
+        raise FieldRange(reason)
 
 
 def _finite(*values: float) -> bool:
@@ -268,103 +264,87 @@ def _validate_token(text: str, what: str) -> None:
     )
 
 
-def _validate_round_stats(s: RoundStats, what: str, line: str | None) -> None:
+def _validate_round_stats(s: RoundStats, what: str) -> None:
     _check(
         s.performed >= 0 and s.success >= 0 and s.failed >= 0 and s.errored >= 0,
         f"{what}: negative count",
-        line,
     )
     _check(
         s.success + s.failed + s.errored <= s.performed,
         f"{what}: outcome counts exceed performed",
-        line,
     )
-    _check(_finite(s.avg_ms, s.min_ms, s.max_ms), f"{what}: non-finite duration", line)
+    _check(_finite(s.avg_ms, s.min_ms, s.max_ms), f"{what}: non-finite duration")
     if s.performed > 0:
-        _check(
-            s.min_ms <= s.avg_ms <= s.max_ms,
-            f"{what}: expected min <= avg <= max",
-            line,
-        )
+        _check(s.min_ms <= s.avg_ms <= s.max_ms, f"{what}: expected min <= avg <= max")
 
 
-def _validate_bunch(b: BunchStats, what: str, line: str | None) -> None:
-    _check(b.count >= 0 and b.ok >= 0, f"{what}: negative count", line)
-    _check(b.ok <= b.count, f"{what}: ok exceeds count", line)
-    _check(
-        _finite(b.mean_duration_ms) and b.mean_duration_ms >= 0,
-        f"{what}: bad mean duration",
-        line,
-    )
+def _validate_bunch(b: BunchStats, what: str) -> None:
+    _check(b.count >= 0 and b.ok >= 0, f"{what}: negative count")
+    _check(b.ok <= b.count, f"{what}: ok exceeds count")
+    _check(_finite(b.mean_duration_ms) and b.mean_duration_ms >= 0, f"{what}: bad mean duration")
 
 
 # Render uses calendar formatting, which caps out at year 9999.
 _MAX_TIMESTAMP_MS = 253_402_300_800_000
 
 
-def validate_event(event: Event, line: str | None = None) -> None:
+def validate_event(event: Event) -> None:
     """Raise FieldRange if the event violates its declared invariants."""
-    _check(0 <= event.timestamp < _MAX_TIMESTAMP_MS, "timestamp out of range", line)
+    _check(0 <= event.timestamp < _MAX_TIMESTAMP_MS, "timestamp out of range")
     if isinstance(event, FrontendEvent):
-        _check(event.level in FRONTEND_LEVELS, f"bad frontend level {event.level}", line)
+        _check(event.level in FRONTEND_LEVELS, f"bad frontend level {event.level}")
         _validate_token(event.operation, "operation")
         _validate_token(event.request_id, "request_id")
         _validate_quoted(event.user_dn, "user_dn")
         for fqan in event.fqans:
-            _check(bool(fqan), "empty fqan", line)
-            _check(_FQAN_BAD.search(fqan) is None, "bad fqan", line)
+            _check(bool(fqan), "empty fqan")
+            _check(_FQAN_BAD.search(fqan) is None, "bad fqan")
         if event.surl is not None:
             _validate_quoted(event.surl, "surl")
         _validate_quoted(event.message, "message")
     elif isinstance(event, MonitoringEvent):
-        _check(event.round_seconds > 0, "round_seconds must be positive", line)
+        _check(event.round_seconds > 0, "round_seconds must be positive")
         for name, stats in (
             ("Synch", event.sync),
             ("ASynch", event.async_),
             ("AggSynch", event.aggregate_sync),
             ("AggASynch", event.aggregate_async),
         ):
-            _validate_round_stats(stats, name, line)
+            _validate_round_stats(stats, name)
     elif isinstance(event, BackendEvent):
-        _check(event.level in BACKEND_LEVELS, f"bad backend level {event.level}", line)
+        _check(event.level in BACKEND_LEVELS, f"bad backend level {event.level}")
         _validate_token(event.operation, "operation")
         _validate_token(event.request_id, "request_id")
         if event.user_dn is not None:
-            _check(bool(event.user_dn), "user_dn must be absent, not empty", line)
+            _check(bool(event.user_dn), "user_dn must be absent, not empty")
             _validate_quoted(event.user_dn, "user_dn")
         for surl in event.surls:
-            _check(bool(surl), "empty surl", line)
-            _check(_SURL_BAD.search(surl) is None, "bad surl", line)
+            _check(bool(surl), "empty surl")
+            _check(_SURL_BAD.search(surl) is None, "bad surl")
         _validate_token(event.result, "result")
     elif isinstance(event, HeartbeatEvent):
-        _check(event.seq >= 0, "negative seq", line)
-        _check(event.lifetime_seconds >= 0, "negative lifetime", line)
-        _check(event.heap_free_bytes >= 0, "negative heap size", line)
-        _check(event.synch_last_beat >= 0, "negative synch count", line)
-        _check(event.ptg_total >= 0 and event.ptp_total >= 0, "negative totals", line)
-        _validate_bunch(event.ptg_last, "PTG", line)
-        _validate_bunch(event.ptp_last, "PTP", line)
+        _check(event.seq >= 0, "negative seq")
+        _check(event.lifetime_seconds >= 0, "negative lifetime")
+        _check(event.heap_free_bytes >= 0, "negative heap size")
+        _check(event.synch_last_beat >= 0, "negative synch count")
+        _check(event.ptg_total >= 0 and event.ptp_total >= 0, "negative totals")
+        _validate_bunch(event.ptg_last, "PTG")
+        _validate_bunch(event.ptp_last, "PTP")
     elif isinstance(event, BackendMetricsEvent):
         _validate_token(event.operation, "operation")
-        _check(event.m1_count >= 0, "negative m1_count", line)
-        _check(event.m1_count <= event.total_count, "m1_count exceeds total", line)
+        _check(event.m1_count >= 0, "negative m1_count")
+        _check(event.m1_count <= event.total_count, "m1_count exceeds total")
         _check(
             _finite(event.max_ms, event.min_ms, event.mean_ms, event.p95_ms, event.p99_ms),
             "non-finite duration",
-            line,
         )
-        _check(
-            event.min_ms <= event.mean_ms <= event.max_ms,
-            "expected min <= mean <= max",
-            line,
-        )
+        _check(event.min_ms <= event.mean_ms <= event.max_ms, "expected min <= mean <= max")
         _check(
             event.min_ms <= event.p95_ms <= event.p99_ms <= event.max_ms,
             "expected min <= p95 <= p99 <= max",
-            line,
         )
     else:
-        raise CodecError(f"unknown event type: {type(event).__name__}")
+        raise TypeError(f"unknown event type: {type(event).__name__}")
 
 
 def _fmt(value: float) -> str:
@@ -423,7 +403,7 @@ def render_line(event: Event) -> str:
             f" mean={_fmt(event.mean_ms)}, p95={_fmt(event.p95_ms)},"
             f" p99={_fmt(event.p99_ms)}) duration_units=milliseconds]"
         )
-    raise CodecError(f"unknown event type: {type(event).__name__}")
+    raise TypeError(f"unknown event type: {type(event).__name__}")
 
 
 def _split_list(text: str, sep: str) -> list[str]:
@@ -517,5 +497,8 @@ def parse_line(kind: LogKind, line: str, day_context: DayContext | None = None) 
             p95_ms=f["p95_ms"],
             p99_ms=f["p99_ms"],
         )
-    validate_event(event, line)
+    try:
+        validate_event(event)
+    except FieldRange as exc:
+        raise FieldRange(exc.reason, line) from None
     return event

@@ -26,11 +26,11 @@ on disk by their manifests alone.
 A dated index holds only documents of its own UTC day (`index_document`
 enforces it), so a time range prunes whole days: `load_store` skips the days
 a range cannot match and so does the search over a loaded store, and an
-index whose whole day the range covers is queried without it (`_inside`),
-which spares building a day-sized set of ordinals. A store that knows its
-`root` loads an index from disk the first time a document is routed to it,
-so ingest reads only the days it writes, and a save removes only the index
-directories that `delete_index` dropped.
+index whose whole day the range covers is queried without it
+(`_day_in_range`), which spares building a day-sized set of ordinals. A
+store that knows its `root` loads an index from disk the first time a
+document is routed to it, so ingest reads only the days it writes, and a
+save removes only the index directories that `delete_index` dropped.
 """
 
 from __future__ import annotations
@@ -76,22 +76,18 @@ _DATED_INDEX_RE = re.compile(r"-(\d{4})\.(\d{2})\.(\d{2})$")
 
 
 class StoreError(Exception):
+    """Data the store cannot read or accept."""
+
+
+class UnknownIndex(ValueError):
     pass
 
 
-class MissingTimestamp(StoreError):
+class MalformedPattern(ValueError):
     pass
 
 
-class UnknownIndex(StoreError):
-    pass
-
-
-class MalformedPattern(StoreError):
-    pass
-
-
-class AggregationError(StoreError):
+class AggregationError(ValueError):
     pass
 
 
@@ -158,15 +154,31 @@ class GeoGridAgg(NamedTuple):
 Aggregation = TermsAgg | DateHistogramAgg | StatsAgg | GeoGridAgg
 
 
+def _field(body: dict) -> str:
+    field = body["field"]
+    if type(field) is not str:
+        raise ValueError(f"field must be a string: {field!r}")
+    return field
+
+
+def _bound(body: dict, key: str) -> float | None:
+    value = body.get(key)
+    if value is not None and type(value) is not int and type(value) is not float:
+        raise ValueError(f"{key} must be a number or null: {value!r}")
+    return value
+
+
 def query_from_json(obj: dict) -> Query:
-    """Build a query from its documented JSON form."""
+    """Build a query from its documented JSON form; a field that is not a
+    string, or a range bound that is neither a number nor null, is a
+    ValueError."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"query node must be a single-key object: {obj!r}")
     kind, body = next(iter(obj.items()))
     if kind == "match_all":
         return MatchAll()
     if kind == "term":
-        return Term(field=body["field"], value=body["value"])
+        return Term(field=_field(body), value=body["value"])
     if kind == "and":
         return And(tuple(query_from_json(c) for c in body))
     if kind == "or":
@@ -175,9 +187,9 @@ def query_from_json(obj: dict) -> Query:
         return Not(query_from_json(body))
     if kind == "range":
         return Range(
-            field=body["field"],
-            min=body.get("min"),
-            max=body.get("max"),
+            field=_field(body),
+            min=_bound(body, "min"),
+            max=_bound(body, "max"),
             include_min=body.get("include_min", True),
             include_max=body.get("include_max", True),
         )
@@ -189,11 +201,11 @@ def aggregation_from_json(obj: dict) -> Aggregation:
         raise ValueError(f"aggregation must be a single-key object: {obj!r}")
     kind, body = next(iter(obj.items()))
     if kind == "terms":
-        return TermsAgg(field=body["field"], top_n=int(body.get("top_n", 10)))
+        return TermsAgg(field=_field(body), top_n=int(body.get("top_n", 10)))
     if kind == "date_histogram":
         return DateHistogramAgg(interval_seconds=int(body["interval_seconds"]))
     if kind == "stats":
-        return StatsAgg(field=body["field"])
+        return StatsAgg(field=_field(body))
     if kind == "geo_grid":
         return GeoGridAgg(cell_degrees=float(body["cell_degrees"]))
     raise ValueError(f"unknown aggregation kind: {kind!r}")
@@ -384,7 +396,10 @@ class Shard:
         if type(value) is bool:
             return set()
         if type(value) is int or type(value) is float:
-            target = float(value)
+            try:
+                target = float(value)
+            except OverflowError:  # an int beyond every float equals no value
+                return set()
             if target != target:  # NaN equals no value
                 return set()
             values, ords, _ = self._column(q.field)
@@ -492,41 +507,33 @@ def _check_day(index_name: str, timestamp: int) -> bool:
     return bounds is None or bounds[0] <= timestamp < bounds[1]
 
 
-def _may_match(
+def _day_in_range(
     index_name: str, time_range: tuple[int | None, int | None] | None
-) -> bool:
-    """False only when the name's day lies outside the half-open range.
+) -> bool | None:
+    """Where the name's UTC day lies against the half-open range: None when
+    outside it, so the index is skipped unread; True when the whole day is
+    inside it (or there is no range), so every document of the index is in
+    it; False otherwise, including for a name without a date.
 
-    A None bound is open, and a NaN bound compares False and so prunes
-    nothing, as in `Range`.
+    A None bound is open, and a NaN bound compares False: it prunes no day
+    and covers none, as in `Range`.
     """
     if time_range is None:
         return True
     bounds = _day_bounds(index_name)
     if bounds is None:
-        return True
-    lo, hi = time_range
-    return not ((lo is not None and lo >= bounds[1]) or (hi is not None and hi <= bounds[0]))
-
-
-def _inside(index_name: str, time_range: tuple[int | None, int | None] | None) -> bool:
-    """True when the name's whole day lies inside the half-open range, so
-    every document of the index is in it. No range covers every day, and a
-    NaN bound compares False and so covers none."""
-    if time_range is None:
-        return True
-    bounds = _day_bounds(index_name)
-    if bounds is None:
         return False
-    lo, hi = time_range
-    return (lo is None or lo <= bounds[0]) and (hi is None or hi >= bounds[1])
+    (lo, hi), (start, end) = time_range, bounds
+    if (lo is not None and lo >= end) or (hi is not None and hi <= start):
+        return None
+    return (lo is None or lo <= start) and (hi is None or hi >= end)
 
 
 def index_document(store: Store, doc: Document) -> None:
     """Upsert one document into its index."""
     timestamp = doc.fields.get("@timestamp")
     if type(timestamp) is not int:
-        raise MissingTimestamp(f"document {doc.id} has no @timestamp")
+        raise StoreError(f"document {doc.id} has no @timestamp")
     if not _check_day(doc.index_name, timestamp):
         raise StoreError(
             f"document timestamp outside index day: {doc.index_name}"
@@ -563,16 +570,17 @@ def _matches(
 
     Indices whose day lies outside `time_range` are skipped unread, and an
     index whose whole day lies inside it is queried without the time range:
-    it matches every document there (see `_inside`).
+    it matches every document there (see `_day_in_range`).
     """
     ranged = q
     if time_range is not None:
         lo, hi = time_range
         ranged = And((q, Range("@timestamp", min=lo, max=hi, include_max=False)))
     for name in match_index_pattern(indices, list(store.indices)):
-        if not _may_match(name, time_range):
+        inside = _day_in_range(name, time_range)
+        if inside is None:
             continue
-        clause = q if _inside(name, time_range) else ranged
+        clause = q if inside else ranged
         for shard in store.indices[name].shards:
             yield name, shard, shard.evaluate(clause)
 
@@ -798,6 +806,14 @@ def _load_index(path: str, name: str) -> TimeIndex:
     return index
 
 
+def _fsync_directory(path: str) -> None:
+    directory = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
 def save_store(store: Store, root: str) -> None:
     """Write every changed index as <root>/<name>/manifest.json plus one
     segment.
@@ -808,11 +824,17 @@ def save_store(store: Store, root: str) -> None:
     An index is committed by its manifest: the segment is written under a
     new name and fsynced, then the manifest is replaced through a fsynced
     temp file, and only then are the superseded files deleted. A crash at
-    any point leaves either the old or the new snapshot of the index.
+    any point leaves either the old or the new snapshot of the index, and a
+    deleted index loses its manifest before its other files.
     """
     os.makedirs(root, exist_ok=True)
     for name in store.deleted - store.indices.keys():
         path = os.path.join(root, name)
+        # The manifest goes first, durably: a crash while the rest is
+        # removed leaves a directory that no read takes for an index.
+        if os.path.isfile(os.path.join(path, _MANIFEST)):
+            os.remove(os.path.join(path, _MANIFEST))
+            _fsync_directory(path)
         if os.path.isdir(path):
             shutil.rmtree(path)
     for name, index in store.indices.items():
@@ -836,11 +858,7 @@ def save_store(store: Store, root: str) -> None:
             os.fsync(handle.fileno())
         os.replace(tmp, os.path.join(path, _MANIFEST))
         # The rename must be durable before the files the old manifest names go.
-        directory = os.open(path, os.O_RDONLY)
-        try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
+        _fsync_directory(path)
         for leaf in present - {_MANIFEST, _MANIFEST_TMP, segment}:
             os.remove(os.path.join(path, leaf))
         index.dirty = False
@@ -852,7 +870,7 @@ def load_store(
     time_range: tuple[int | None, int | None] | None = None,
 ) -> Store:
     """Load a snapshot's indices that match `pattern` and may hold documents
-    in the half-open `time_range` (see `_may_match`); either may be None.
+    in the half-open `time_range` (see `_day_in_range`); either may be None.
 
     The store keeps `root`, so a later write to an index left on disk loads
     that index first.
@@ -862,6 +880,6 @@ def load_store(
     if pattern is not None:
         names = match_index_pattern(pattern, names)
     for name in names:
-        if _may_match(name, time_range):
+        if _day_in_range(name, time_range) is not None:
             store.indices[name] = _load_index(os.path.join(root, name), name)
     return store

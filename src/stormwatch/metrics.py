@@ -33,6 +33,10 @@ class MetricSpec:
     bucket_span_seconds: int = 60
 
     def __post_init__(self) -> None:
+        if type(self.indices) is not str:
+            raise MetricError(f"indices must be a string: {self.indices!r}")
+        if self.detector_field is not None and type(self.detector_field) is not str:
+            raise MetricError(f"detector field must be a string: {self.detector_field!r}")
         if self.detector not in DETECTORS:
             raise MetricError(f"unknown detector: {self.detector!r}")
         if self.detector != "count" and not self.detector_field:
@@ -56,8 +60,8 @@ class MetricSeries:
 
 
 def metric_spec_from_json(obj: dict) -> MetricSpec:
-    """Build a spec from its JSON object; a value of the wrong type raises
-    MetricError."""
+    """Build a spec from its JSON object; a value of the wrong type, or an
+    infinite span, raises MetricError."""
     try:
         detector = obj.get("detector", {"kind": "count"})
         if isinstance(detector, str):
@@ -69,7 +73,7 @@ def metric_spec_from_json(obj: dict) -> MetricSpec:
             detector_field=detector.get("field"),
             bucket_span_seconds=int(obj.get("bucket_span_seconds", 60)),
         )
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, TypeError, OverflowError) as exc:
         raise MetricError(f"bad metric: {exc}") from exc
 
 

@@ -63,23 +63,7 @@ _IPV4_STRICT_RE = re.compile(
 
 
 class PatternError(ValueError):
-    """Base class for pattern definition and compilation failures."""
-
-
-class LibraryFormatError(PatternError):
-    pass
-
-
-class UnknownPatternError(PatternError):
-    pass
-
-
-class CyclicPatternError(PatternError):
-    pass
-
-
-class DuplicateCaptureError(PatternError):
-    pass
+    """A pattern definition or compilation failure."""
 
 
 def load_library(document: str) -> dict[str, str]:
@@ -98,13 +82,13 @@ def load_library(document: str) -> dict[str, str]:
         name, sep, body = line.partition(" ")
         body = body.strip()
         if not sep or not body:
-            raise LibraryFormatError(f"line {lineno}: malformed definition: {raw!r}")
+            raise PatternError(f"line {lineno}: malformed definition: {raw!r}")
         if not _NAME_RE.match(name):
-            raise LibraryFormatError(f"line {lineno}: invalid pattern name: {name!r}")
+            raise PatternError(f"line {lineno}: invalid pattern name: {name!r}")
         if name in BUILTIN_PATTERNS:
-            raise LibraryFormatError(f"line {lineno}: builtin shadowed: {name}")
+            raise PatternError(f"line {lineno}: builtin shadowed: {name}")
         if name in entries:
-            raise LibraryFormatError(f"line {lineno}: duplicate name: {name}")
+            raise PatternError(f"line {lineno}: duplicate name: {name}")
         entries[name] = body
     return {**BUILTIN_PATTERNS, **entries}
 
@@ -173,14 +157,14 @@ def compile(library: dict[str, str], expr: str) -> CompiledPattern:
         name, fieldname, ftype = _parse_reference(m.group(1))
         sub = library.get(name)
         if sub is None:
-            raise UnknownPatternError(f"unknown sub-pattern: {name}")
+            raise PatternError(f"unknown sub-pattern: {name}")
         if name in active:
-            raise CyclicPatternError(f"cyclic reference through: {name}")
+            raise PatternError(f"cyclic reference through: {name}")
         if fieldname is None:
             out.append("(?:")
         else:
             if fieldname in seen_fields:
-                raise DuplicateCaptureError(f"duplicate capture field: {fieldname}")
+                raise PatternError(f"duplicate capture field: {fieldname}")
             seen_fields.add(fieldname)
             captures.append((fieldname, ftype))
             out.append(f"(?P<c{len(captures) - 1}>")

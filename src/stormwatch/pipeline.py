@@ -42,10 +42,6 @@ class PipelineConfigError(ValueError):
     pass
 
 
-class GeoTableError(ValueError):
-    pass
-
-
 @dataclass(slots=True)
 class DeadLetter:
     raw: RawRecord
@@ -88,20 +84,20 @@ def load_geo_table(csv_text: str) -> GeoTable:
             continue
         parts = line.split(",")
         if len(parts) != 4:
-            raise GeoTableError(f"line {lineno}: expected cidr,lat,lon,label")
+            raise PipelineConfigError(f"line {lineno}: expected cidr,lat,lon,label")
         try:
             net = ipaddress.ip_network(parts[0].strip(), strict=False)
             lat = float(parts[1])
             lon = float(parts[2])
         except ValueError as exc:
-            raise GeoTableError(f"line {lineno}: {exc}") from exc
+            raise PipelineConfigError(f"line {lineno}: {exc}") from exc
         if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-            raise GeoTableError(f"line {lineno}: coordinates out of range")
+            raise PipelineConfigError(f"line {lineno}: coordinates out of range")
         rows.append((net, lat, lon, parts[3].strip()))
     seen = set()
     for net, _, _, _ in rows:
         if net in seen:
-            raise GeoTableError(f"duplicate cidr at prefix /{net.prefixlen}")
+            raise PipelineConfigError(f"duplicate cidr at prefix /{net.prefixlen}")
         seen.add(net)
     return GeoTable(rows)
 

@@ -16,13 +16,10 @@ from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .codecs import LogKind, classify_file
+from .index import StoreError
 
 
-class ShipperError(Exception):
-    pass
-
-
-class RegistryCorrupt(ShipperError):
+class RegistryCorrupt(StoreError):
     pass
 
 

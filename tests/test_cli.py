@@ -1,12 +1,16 @@
 import csv
+import importlib
 import io
 import json
 import os
+import pkgutil
+import random
 import subprocess
 import sys
 
 import pytest
 
+import stormwatch
 from conftest import corpus_paths
 from stormwatch import index as IX
 from stormwatch import loggen
@@ -603,6 +607,40 @@ class TestIndexRm:
         store = IX.load_store(store_dir)
         assert all(not n.startswith("storm-backend-") for n in store.indices)
 
+    @staticmethod
+    def _two_day_store(root):
+        store = IX.Store()
+        for day in ("2024-03-01", "2024-03-02"):
+            IX.index_document(store, Document(
+                id=day, index_name=f"storm-backend-{day.replace('-', '.')}",
+                fields={"@timestamp": parse_date_ms(day), "status": "INFO"}))
+        IX.save_store(store, str(root))
+        return str(root)
+
+    def test_rm_with_an_unknown_name_deletes_nothing(self, tmp_path, capsys):
+        store_dir = self._two_day_store(tmp_path / "store")
+        code, stdout, stderr = run(
+            capsys, "index", "rm", "--store", store_dir, "storm-backend-2024.03.01", "nope"
+        )
+        assert (code, stdout, stderr) == (1, "", "error: no such index: nope\n")
+        assert len(IX.index_names(store_dir)) == 2
+
+    @pytest.mark.parametrize(
+        "names,deleted",
+        [
+            (["storm-backend-2024.03.01"] * 2, ["storm-backend-2024.03.01"]),
+            (["storm-backend-*", "storm-backend-2024.03.01"],
+             ["storm-backend-2024.03.01", "storm-backend-2024.03.02"]),
+        ],
+        ids=["twice", "pattern-and-name"],
+    )
+    def test_rm_of_a_name_given_twice_deletes_it_once(self, tmp_path, capsys, names, deleted):
+        store_dir = self._two_day_store(tmp_path / "store")
+        code, stdout, _ = run(capsys, "index", "rm", "--store", store_dir, *names)
+        assert (code, stdout) == (0, "".join(f"deleted {name}\n" for name in deleted))
+        assert IX.index_names(store_dir) == sorted(
+            {"storm-backend-2024.03.01", "storm-backend-2024.03.02"} - set(deleted))
+
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
@@ -657,3 +695,178 @@ def test_a_command_imports_only_the_layers_it_runs(
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert (code, sorted(loaded)) == (0, sorted(modules))
+
+
+class TestWronglyTypedJsonIsUsageError:
+    """Each of these reached an evaluator and exited 3 as an internal error."""
+
+    @pytest.mark.parametrize(
+        "command,flag,text",
+        [
+            ("query", "--q", '{"term":{"field":["a"],"value":"x"}}'),
+            ("query", "--q", '{"range":{"field":"@timestamp","min":"2024"}}'),
+            ("agg", "--agg", '{"stats":{"field":{}}}'),
+            ("agg", "--agg", '{"terms":{"field":"action","top_n":1e999}}'),
+            ("agg", "--agg", '{"date_histogram":{"interval_seconds":1e999}}'),
+        ],
+        ids=["term-field-list", "range-min-string", "stats-field-object", "top-n-infinite",
+             "interval-infinite"],
+    )
+    def test_query_or_aggregation(self, cli_store, capsys, command, flag, text):
+        code, stdout, stderr = run(
+            capsys, command, "--store", cli_store, "--index", "storm-*", flag, text
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: bad ")
+
+    @pytest.mark.parametrize(
+        "metric_change,job_change",
+        [
+            ({"indices": 7}, {}),
+            ({"bucket_span_seconds": "INFINITE"}, {}),
+            ({}, {"warmup_buckets": "INFINITE"}),
+            ({"detector": {"kind": "mean", "field": ["x"]}}, {}),
+        ],
+        ids=["indices-number", "span-infinite", "warmup-infinite", "detector-field-list"],
+    )
+    def test_job(self, cli_store, small_corpus, tmp_path, capsys, metric_change, job_change):
+        job_path = write_job(tmp_path / "job.json", small_corpus["truth"])
+        job = json.loads(open(job_path, encoding="utf-8").read())
+        job["metric"].update(metric_change)
+        job.update(job_change)
+        text = json.dumps(job).replace('"INFINITE"', "1e999")
+        (tmp_path / "job.json").write_text(text, encoding="utf-8")
+        code, stdout, stderr = run(capsys, "ml", "detect", "--store", cli_store,
+                                   "--job", job_path, "--out", str(tmp_path / "o"))
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: bad job config: ")
+        assert not (tmp_path / "o").exists()
+
+
+# Values for the random JSON below: the store's own field names and values,
+# wrong types, and numbers at the edges of int and float.
+_FIELDS = ["@timestamp", "action", "status", "message", "mean_ms", "geo_lat", "seq", "id",
+           "no_such_field"]
+_SCALARS = [None, True, False, 0, 1, -1, 7, 60, 2**64, 10**400, 0.5, -2.5, 1e999, -1e999,
+            float("nan"), "", "x", "INFO", "synch.ls", "storm-*", "storm-*-x", *_FIELDS]
+_QUERY_KEYS = ("field", "value", "min", "max", "include_min", "include_max")
+_AGG_KEYS = {"terms": ("field", "top_n"), "date_histogram": ("interval_seconds",),
+             "stats": ("field",), "geo_grid": ("cell_degrees",), "histogram": ("field",)}
+
+
+def _random_value(rng, depth=0):
+    roll = rng.random()
+    if depth > 2 or roll < 0.6:
+        return rng.choice(_SCALARS)
+    if roll < 0.8:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {rng.choice([*_QUERY_KEYS, "kind", "term"]): _random_value(rng, depth + 1)
+            for _ in range(rng.randrange(3))}
+
+
+def _random_body(rng, keys):
+    """Mostly an object holding some of the keys, with a field name or a
+    random value each; sometimes any value."""
+    if rng.random() < 0.1:
+        return _random_value(rng)
+    return {
+        key: rng.choice(_FIELDS) if key == "field" and rng.random() < 0.5 else _random_value(rng)
+        for key in keys if rng.random() < 0.8
+    }
+
+
+def _random_query(rng, depth=0):
+    if rng.random() < 0.1:
+        return _random_value(rng, depth)
+    kind = rng.choice(["match_all", "term", "range", "and", "or", "not", "prefix"])
+    if kind in ("and", "or") and depth < 3:
+        body = [_random_query(rng, depth + 1) for _ in range(rng.randrange(4))]
+    elif kind == "not" and depth < 3:
+        body = _random_query(rng, depth + 1)
+    else:
+        body = _random_body(rng, _QUERY_KEYS)
+    return {kind: body}
+
+
+def _random_aggregation(rng):
+    if rng.random() < 0.1:
+        return _random_value(rng)
+    kind = rng.choice(sorted(_AGG_KEYS))
+    return {kind: _random_body(rng, _AGG_KEYS[kind])}
+
+
+def _random_job(rng, template):
+    """The template job with some of its values replaced. `from` and `to`
+    stay: a wide range with a short span asks for a bucket per span."""
+    job = json.loads(json.dumps(template))
+    metric = job["metric"]
+    choices = {
+        "indices": lambda: rng.choice([_random_value(rng), "storm-*", "storm-*-x"]),
+        "filter": lambda: _random_query(rng),
+        "detector": lambda: rng.choice([
+            _random_value(rng), {"kind": rng.choice(["count", "mean", "max", "zap"]),
+                                 "field": rng.choice([*_FIELDS, _random_value(rng)])}]),
+        "bucket_span_seconds": lambda: _random_value(rng),
+    }
+    for key, make in choices.items():
+        if rng.random() < 0.3:
+            metric[key] = make()
+    for key in ("warmup_buckets", "decay", "k_bound", "thresholds", "gap_policy"):
+        if rng.random() < 0.2:
+            job[key] = _random_value(rng)
+    if rng.random() < 0.05:
+        job["metric"] = _random_value(rng)
+    return job
+
+
+@pytest.fixture(scope="module")
+def tiny_store(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    truth = loggen.generate(
+        loggen.WorkloadSpec(seed=5, duration_seconds=60), [], str(root / "corpus")
+    )
+    store_dir = str(root / "store")
+    code = main(["ingest", "--paths", *corpus_paths(str(root / "corpus")),
+                 "--store", store_dir, "--base-date", "2024-03-01"])
+    assert code == 0
+    return store_dir, truth
+
+
+@pytest.mark.parametrize("command", ["query", "agg", "ml detect"])
+def test_random_json_exits_0_or_1(tiny_store, tmp_path, capsys, command):
+    store_dir, truth = tiny_store
+    rng = random.Random(f"random-json-{command}")
+    template = json.loads(open(write_job(tmp_path / "job.json", truth), encoding="utf-8").read())
+    indices = ["storm-*", "storm-backend-*", "storm-frontend-*", "storm-backend-metrics-*"]
+    crashes = []
+    for _ in range(150):
+        if command == "query":
+            argv = ["query", "--index", rng.choice(indices),
+                    "--q", json.dumps(_random_query(rng))]
+        elif command == "agg":
+            argv = ["agg", "--index", rng.choice(indices),
+                    "--agg", json.dumps(_random_aggregation(rng))]
+            if rng.random() < 0.3:
+                argv += ["--q", json.dumps(_random_query(rng))]
+        else:
+            (tmp_path / "job.json").write_text(json.dumps(_random_job(rng, template)))
+            argv = ["ml", "detect", "--job", str(tmp_path / "job.json"),
+                    "--out", str(tmp_path / "out")]
+        code, _, stderr = run(capsys, *argv, "--store", store_dir)
+        if code not in (0, 1):
+            crashes.append((argv, stderr))
+    assert crashes == []
+
+
+def test_every_error_class_subclasses_value_error_or_store_error():
+    """An error's base class decides the exit code (`cli._exit_code`): a
+    ValueError exits 1 and a StoreError 2, so no layer defines another."""
+    others = []
+    for info in pkgutil.iter_modules(stormwatch.__path__):
+        module = importlib.import_module(f"stormwatch.{info.name}")
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__
+                    and not issubclass(value, (ValueError, IX.StoreError))):
+                others.append(f"{module.__name__}.{name}")
+    assert others == []

@@ -69,7 +69,7 @@ class TestIndexDocument:
     def test_missing_timestamp_rejected(self):
         store = IX.Store()
         doc = Document(id="x", fields={"status": "INFO"}, index_name=f"storm-backend-{DAY}")
-        with pytest.raises(IX.MissingTimestamp):
+        with pytest.raises(IX.StoreError, match="^document x has no @timestamp$"):
             IX.index_document(store, doc)
 
     def test_timestamp_outside_index_day_rejected(self):
@@ -115,6 +115,11 @@ class TestSearch:
         store, _ = store_and_docs
         assert IX.search(store, "storm-*", IX.Term("nope", "x")) == []
         assert IX.search(store, "storm-*", IX.Range("nope", min=0)) == []
+
+    def test_an_int_beyond_every_float_matches_nothing(self, store_and_docs):
+        store, docs = store_and_docs
+        assert IX.search(store, "storm-*", IX.Term("offset", 10**400)) == []
+        assert len(IX.search(store, "storm-*", IX.Range("offset", max=10**400))) == len(docs)
 
     def test_text_term_matches_tokens(self, store_and_docs):
         store, docs = store_and_docs
@@ -346,6 +351,25 @@ class TestDeleteAndRetention:
     def test_delete_unknown_errors(self):
         with pytest.raises(IX.UnknownIndex):
             IX.delete_index(IX.Store(), "storm-backend-2024.03.01")
+
+    def test_crash_while_removing_a_deleted_index_leaves_no_index(self, tmp_path, monkeypatch):
+        root = str(tmp_path)
+        IX.save_store(self._dated_store(["2024.03.01", "2024.03.02"]), root)
+        store = IX.Store(root=root)
+        IX.delete_index(store, "storm-backend-2024.03.01")
+
+        def crash(path, *_args, **_kwargs):
+            for leaf in os.listdir(path):
+                if leaf.endswith(".seg"):
+                    os.remove(os.path.join(path, leaf))
+            raise OSError("crash after the segments are removed")
+
+        monkeypatch.setattr(IX.shutil, "rmtree", crash)
+        with pytest.raises(OSError):
+            IX.save_store(store, root)
+        monkeypatch.undo()
+        assert IX.index_names(root) == ["storm-backend-2024.03.02"]
+        assert list(IX.load_store(root).indices) == ["storm-backend-2024.03.02"]
 
 
 class TestSnapshot:

@@ -323,15 +323,15 @@ def test_pipeline_builds_the_store_record_type():
 
 class TestGeoTable:
     def test_duplicate_cidr_rejected(self):
-        with pytest.raises(PL.GeoTableError, match="duplicate"):
+        with pytest.raises(PL.PipelineConfigError, match="duplicate"):
             PL.load_geo_table("1.2.3.0/24,1,2,a\n1.2.3.0/24,3,4,b\n")
 
     def test_bad_row_rejected_with_line(self):
-        with pytest.raises(PL.GeoTableError, match="line 2"):
+        with pytest.raises(PL.PipelineConfigError, match="line 2"):
             PL.load_geo_table("1.2.3.0/24,1,2,a\nnot-a-cidr,1,2,b\n")
 
     def test_coordinates_validated(self):
-        with pytest.raises(PL.GeoTableError, match="range"):
+        with pytest.raises(PL.PipelineConfigError, match="range"):
             PL.load_geo_table("1.2.3.0/24,91.0,0.0,x\n")
 
     def test_single_block_lookup(self):
