@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .metrics import MetricSeries
+from .metrics import MAX_BUCKETS, MetricSeries
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -242,8 +242,8 @@ def forecast(
     """
     if model.in_warmup:
         raise WarmupError("forecast requires a model past warmup")
-    if horizon_buckets < 1:
-        raise ValueError("horizon must be >= 1")
+    if not 1 <= horizon_buckets <= MAX_BUCKETS:
+        raise ValueError(f"horizon must be within [1, {MAX_BUCKETS}]")
     span_ms = span_seconds * 1000
     points = []
     for h in range(1, horizon_buckets + 1):

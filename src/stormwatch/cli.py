@@ -65,7 +65,7 @@ def _load_query(text: str | None) -> index_store.Query:
         return index_store.MatchAll()
     try:
         return index_store.query_from_json(json.loads(text))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise UsageError(f"bad query: {exc}") from exc
 
 
@@ -249,7 +249,7 @@ def cmd_agg(args) -> int:
     q = _load_query(args.q)
     try:
         agg = index_store.aggregation_from_json(json.loads(args.agg))
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise UsageError(f"bad aggregation: {exc}") from exc
     result = index_store.aggregate(store, args.index, q, agg, time_range)
     for line in _render_rows(*_agg_rows(agg, result), args.format):
@@ -312,7 +312,7 @@ def _load_job(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             job = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read job config: {exc}") from exc
     if not isinstance(job, dict) or "metric" not in job:
         raise UsageError("job config must be an object with a metric key")

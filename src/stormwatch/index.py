@@ -168,10 +168,18 @@ def _bound(body: dict, key: str) -> float | None:
     return value
 
 
-def query_from_json(obj: dict) -> Query:
+# The deepest a query may nest, counting the outermost node as level 1; no
+# later stage recurses deeper than this.
+MAX_QUERY_DEPTH = 100
+
+
+def query_from_json(obj: dict, depth: int = 1) -> Query:
     """Build a query from its documented JSON form; a field that is not a
-    string, or a range bound that is neither a number nor null, is a
-    ValueError."""
+    string, a range bound that is neither a number nor null, or nesting
+    deeper than `MAX_QUERY_DEPTH` is a ValueError. `depth` is the level of
+    `obj` within the whole query."""
+    if depth > MAX_QUERY_DEPTH:
+        raise ValueError(f"query nests deeper than {MAX_QUERY_DEPTH} levels")
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"query node must be a single-key object: {obj!r}")
     kind, body = next(iter(obj.items()))
@@ -180,11 +188,11 @@ def query_from_json(obj: dict) -> Query:
     if kind == "term":
         return Term(field=_field(body), value=body["value"])
     if kind == "and":
-        return And(tuple(query_from_json(c) for c in body))
+        return And(tuple(query_from_json(c, depth + 1) for c in body))
     if kind == "or":
-        return Or(tuple(query_from_json(c) for c in body))
+        return Or(tuple(query_from_json(c, depth + 1) for c in body))
     if kind == "not":
-        return Not(query_from_json(body))
+        return Not(query_from_json(body, depth + 1))
     if kind == "range":
         return Range(
             field=_field(body),

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .codecs import (
     BackendEvent,
@@ -38,7 +38,7 @@ from .timeutil import parse_iso8601_ms
 # 2024-03-01T00:00:00Z; a fixed origin keeps default corpora reproducible.
 DEFAULT_START_MS = parse_iso8601_ms("2024-03-01T00:00:00.000Z")
 
-DEFAULT_OP_RATES = {
+OP_RATES = {
     "srmLs": 8.0,
     "Connection": 6.0,
     "srmStatusOfGetRequest": 4.0,
@@ -51,7 +51,7 @@ DEFAULT_OP_RATES = {
     "srmMkdir": 0.2,
 }
 
-DEFAULT_LATENCY_MS = {
+BASE_LATENCY_MS = {
     "srmLs": (18.0, 6.0),
     "Connection": (4.0, 1.5),
     "srmStatusOfGetRequest": (9.0, 3.0),
@@ -63,6 +63,14 @@ DEFAULT_LATENCY_MS = {
     "srmPing": (2.0, 0.5),
     "srmMkdir": (22.0, 7.0),
 }
+
+# Seconds between heartbeats and between monitoring rounds; 60 divides every
+# valid duration.
+HEARTBEAT_PERIOD = 60
+MONITORING_ROUND = 60
+
+# Debug lines per second, interleaved with the requests in the frontend log.
+DEBUG_NOISE_RATE = 0.5
 
 ASYNC_OPS = frozenset({"srmPrepareToGet", "srmPrepareToPut"})
 
@@ -152,31 +160,13 @@ class WorkloadSpec:
     seed: int = 42
     duration_seconds: int = 1800
     start_ms: int = DEFAULT_START_MS
-    op_rates: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_OP_RATES))
-    base_latency_ms: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_LATENCY_MS)
-    )
     error_rate: float = 0.02
-    heartbeat_period: int = 60
-    monitoring_round: int = 60
-    debug_noise_rate: float = 0.5
 
     def validate(self) -> None:
         if self.duration_seconds <= 0 or self.duration_seconds % 60 != 0:
             raise LoggenError("duration_seconds must be a positive multiple of 60")
-        if self.heartbeat_period <= 0 or self.duration_seconds % self.heartbeat_period:
-            raise LoggenError("heartbeat_period must divide the duration")
-        if self.monitoring_round <= 0 or self.duration_seconds % self.monitoring_round:
-            raise LoggenError("monitoring_round must divide the duration")
         if not 0.0 <= self.error_rate <= 1.0:
             raise LoggenError("error_rate must be within [0, 1]")
-        for op, rate in self.op_rates.items():
-            if rate < 0:
-                raise LoggenError(f"negative rate for {op}")
-            if op not in self.base_latency_ms:
-                raise LoggenError(f"no latency profile for {op}")
-        if self.debug_noise_rate < 0:
-            raise LoggenError("debug_noise_rate must be >= 0")
 
 
 @dataclass(slots=True)
@@ -243,8 +233,8 @@ def generate(
     # Arrival times per operation (base process plus rate-spike surplus).
     arrivals: list[tuple[int, str]] = []
     spikes = [a for a in anomalies if a.kind == "rate_spike"]
-    for op in sorted(workload.op_rates):
-        rate = workload.op_rates[op]
+    for op in sorted(OP_RATES):
+        rate = OP_RATES[op]
         times = _poisson_times(rng, rate, 0.0, duration)
         for spike in spikes:
             times.extend(
@@ -253,7 +243,7 @@ def generate(
                 )
             )
         arrivals.extend((int(t * 1000), op) for t in times)
-    debug_times = _poisson_times(rng, workload.debug_noise_rate, 0.0, duration)
+    debug_times = _poisson_times(rng, DEBUG_NOISE_RATE, 0.0, duration)
     arrivals.extend((int(t * 1000), DEBUG_OP) for t in debug_times)
     arrivals.sort()
 
@@ -270,7 +260,7 @@ def generate(
             continue
         dn, vo = _USERS[rng.randrange(len(_USERS))]
         ip = rng.choice(_CLIENT_IPS)
-        mean, std = workload.base_latency_ms[op]
+        mean, std = BASE_LATENCY_MS[op]
         for window in latency_windows:
             if window.covers(t_s):
                 mean *= window.magnitude
@@ -399,7 +389,7 @@ def _bucketize(requests: list[_Request], span_ms: int, buckets: int) -> list[lis
 
 
 def _monitoring_lines(workload: WorkloadSpec, requests: list[_Request]) -> list[str]:
-    round_ms = workload.monitoring_round * 1000
+    round_ms = MONITORING_ROUND * 1000
     rounds = workload.duration_seconds * 1000 // round_ms
     lines = []
     seen_sync: list[_Request] = []
@@ -411,7 +401,7 @@ def _monitoring_lines(workload: WorkloadSpec, requests: list[_Request]) -> list[
         seen_async.extend(async_)
         event = MonitoringEvent(
             timestamp=workload.start_ms + (k + 1) * round_ms - 500,
-            round_seconds=workload.monitoring_round,
+            round_seconds=MONITORING_ROUND,
             sync=_round_stats(sync),
             async_=_round_stats(async_),
             aggregate_sync=_round_stats(seen_sync),
@@ -424,7 +414,7 @@ def _monitoring_lines(workload: WorkloadSpec, requests: list[_Request]) -> list[
 def _heartbeat_lines(
     workload: WorkloadSpec, requests: list[_Request], rng: random.Random
 ) -> list[str]:
-    period_ms = workload.heartbeat_period * 1000
+    period_ms = HEARTBEAT_PERIOD * 1000
     beats = workload.duration_seconds * 1000 // period_ms
     heap = 2_500_000_000
     ptg_total = 0
@@ -441,7 +431,7 @@ def _heartbeat_lines(
         event = HeartbeatEvent(
             timestamp=workload.start_ms + hi - 500,
             seq=k + 1,
-            lifetime_seconds=(k + 1) * workload.heartbeat_period,
+            lifetime_seconds=(k + 1) * HEARTBEAT_PERIOD,
             heap_free_bytes=heap,
             synch_last_beat=sync_count,
             ptg_total=ptg_total,
@@ -557,8 +547,8 @@ def _build_truth(
         "seed": workload.seed,
         "start_ms": workload.start_ms,
         "duration_seconds": workload.duration_seconds,
-        "heartbeat_period": workload.heartbeat_period,
-        "monitoring_round": workload.monitoring_round,
+        "heartbeat_period": HEARTBEAT_PERIOD,
+        "monitoring_round": MONITORING_ROUND,
         "error_rate": workload.error_rate,
         "request_count": len(requests),
         "debug_line_count": len(debug_events),

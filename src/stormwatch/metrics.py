@@ -19,6 +19,10 @@ from .index import MatchAll, Query, Store
 DETECTORS = ("count", "mean", "max", "min", "sum")
 GAP_POLICIES = ("skip", "zero", "interpolate")
 
+# The most buckets a series or a forecast may hold, checked before any is
+# allocated; a year of 60 s buckets is 525,600.
+MAX_BUCKETS = 1_000_000
+
 
 class MetricError(ValueError):
     pass
@@ -89,6 +93,8 @@ def build_series(store: Store, spec: MetricSpec, from_ms: int, to_ms: int) -> Me
     span_ms = spec.bucket_span_seconds * 1000
     start = from_ms - from_ms % span_ms
     n_buckets = (to_ms - start + span_ms - 1) // span_ms
+    if n_buckets > MAX_BUCKETS:
+        raise MetricError(f"[from, to) spans {n_buckets} buckets, more than {MAX_BUCKETS}")
     counts = [0] * n_buckets
     samples: list[list[float]] = [[] for _ in range(n_buckets)]
 

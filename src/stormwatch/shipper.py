@@ -12,7 +12,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from typing import NamedTuple
 
 from .codecs import LogKind, classify_file
@@ -71,25 +71,15 @@ def tail_once(
     kind = classify_file(path)
     with open(path, "rb") as handle:
         handle.seek(offset)
-        budget = max(1 << 16, 512 * max_records)
-        data = handle.read(budget)
-        newlines = data.count(b"\n")
-        while newlines < max_records:
-            more = handle.read(budget)
-            if not more:
-                break
-            newlines += more.count(b"\n")
-            data += more
-    limit = max(max_records, 0)
-    # An all-ASCII read is decoded in one call, any other line by line with
-    # invalid bytes replaced; an ASCII line's length is its byte count.
-    is_ascii = data.isascii()
-    lines = data.decode("ascii").split("\n", limit) if is_ascii else data.split(b"\n", limit)
-    lines.pop()  # what the batch leaves unread: later lines or a partial one
+        raw = list(islice(handle, max(max_records, 0)))
+    if raw and not raw[-1].endswith(b"\n"):
+        raw.pop()  # a partial last line stays unread
     # Each line's offset, then the end of the last line.
-    starts = list(accumulate(map((1).__add__, map(len, lines)), initial=offset))
-    if not is_ascii:
-        lines = [raw.decode("utf-8", errors="replace") for raw in lines]
+    starts = list(accumulate(map(len, raw), initial=offset))
+    # "\n" never continues a UTF-8 sequence, so decoding the batch at once
+    # replaces the same bytes as decoding each line on its own.
+    lines = b"".join(raw).decode("utf-8", errors="replace").split("\n")
+    lines.pop()  # the empty text after the last "\n"
     records = tuple(map(RawRecord, lines, repeat(path), starts, repeat(beat_name),
                         repeat("log"), repeat(kind)))
 

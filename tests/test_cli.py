@@ -13,7 +13,7 @@ import pytest
 import stormwatch
 from conftest import corpus_paths
 from stormwatch import index as IX
-from stormwatch import loggen
+from stormwatch import loggen, metrics
 from stormwatch.cli import main
 from stormwatch.pipeline import Document
 from stormwatch.timeutil import parse_date_ms
@@ -529,6 +529,32 @@ class TestMlCommands:
         )
         assert code == 1
 
+    def test_series_beyond_the_bucket_limit_is_usage_error(
+        self, cli_store, small_corpus, tmp_path, capsys
+    ):
+        job_path = write_job(tmp_path / "job.json", small_corpus["truth"])
+        job = json.loads(open(job_path, encoding="utf-8").read())
+        job["metric"]["bucket_span_seconds"] = 1
+        job["to"] = job["from"] + (metrics.MAX_BUCKETS + 1) * 1000
+        (tmp_path / "job.json").write_text(json.dumps(job), encoding="utf-8")
+        code, stdout, stderr = run(capsys, "ml", "detect", "--store", cli_store,
+                                   "--job", job_path, "--out", str(tmp_path / "o"))
+        assert (code, stdout) == (1, "")
+        assert f"more than {metrics.MAX_BUCKETS}" in stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_forecast_beyond_the_bucket_limit_is_usage_error(
+        self, cli_store, small_corpus, tmp_path, capsys
+    ):
+        job = write_job(tmp_path / "job.json", small_corpus["truth"])
+        code, stdout, stderr = run(
+            capsys, "ml", "forecast", "--store", cli_store, "--job", job,
+            "--out", str(tmp_path / "o"), "--horizon", str(metrics.MAX_BUCKETS + 1),
+        )
+        assert (code, stdout) == (1, "")
+        assert f"horizon must be within [1, {metrics.MAX_BUCKETS}]" in stderr
+        assert not (tmp_path / "o").exists()
+
     def test_bad_job_config_is_usage_error(self, cli_store, tmp_path, capsys):
         bad = tmp_path / "job.json"
         bad.write_text(json.dumps({"metric": {"indices": "storm-*", "detector": {"kind": "zap"}},
@@ -741,6 +767,39 @@ class TestWronglyTypedJsonIsUsageError:
         assert (code, stdout) == (1, "")
         assert stderr.startswith("error: bad job config: ")
         assert not (tmp_path / "o").exists()
+
+
+def _nested_not(levels):
+    return '{"not":' * levels + '{"match_all":{}}' + "}" * levels
+
+
+@pytest.mark.parametrize(
+    "argv,prefix",
+    [
+        (["query", "--q", _nested_not(5000)], "error: bad query: "),
+        (["agg", "--agg", '{"terms":{"field":"status"}}', "--q", _nested_not(5000)],
+         "error: bad query: "),
+        (["agg", "--agg", _nested_not(5000)], "error: bad aggregation: "),
+        (["ml", "detect"], "error: cannot read job config: "),
+    ],
+    ids=["query-q", "agg-q", "agg-agg", "job-filter"],
+)
+def test_json_nested_too_deeply_is_usage_error(
+    cli_store, small_corpus, tmp_path, capsys, argv, prefix
+):
+    """JSON nested past the interpreter's recursion limit is bad input."""
+    if argv[0] == "ml":
+        job_path = write_job(tmp_path / "job.json", small_corpus["truth"])
+        job = json.loads(open(job_path, encoding="utf-8").read())
+        job["metric"]["filter"] = "NESTED"
+        text = json.dumps(job).replace('"NESTED"', _nested_not(5000))
+        (tmp_path / "job.json").write_text(text, encoding="utf-8")
+        argv = [*argv, "--job", job_path, "--out", str(tmp_path / "o")]
+    else:
+        argv = [*argv, "--index", "storm-*"]
+    code, stdout, stderr = run(capsys, *argv, "--store", cli_store)
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith(prefix)
 
 
 # Values for the random JSON below: the store's own field names and values,

@@ -121,6 +121,16 @@ class TestSearch:
         assert IX.search(store, "storm-*", IX.Term("offset", 10**400)) == []
         assert len(IX.search(store, "storm-*", IX.Range("offset", max=10**400))) == len(docs)
 
+    def test_query_nesting_is_bounded(self, store_and_docs):
+        store, docs = store_and_docs
+        query = {"match_all": {}}
+        for _ in range(IX.MAX_QUERY_DEPTH - 2):  # an even count of "not"s
+            query = {"not": query}
+        deepest = {"and": [query]}
+        assert len(IX.search(store, "storm-*", IX.query_from_json(deepest))) == len(docs)
+        with pytest.raises(ValueError, match=f"^query nests deeper than {IX.MAX_QUERY_DEPTH} "):
+            IX.query_from_json({"not": deepest})
+
     def test_text_term_matches_tokens(self, store_and_docs):
         store, docs = store_and_docs
         hits = IX.search(store, "storm-*", IX.Term("message", "request"))

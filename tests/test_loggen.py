@@ -225,8 +225,6 @@ def verify_consistency(out_dir: str) -> ConsistencyReport:
         seed=truth["seed"],
         duration_seconds=truth["duration_seconds"],
         start_ms=start,
-        heartbeat_period=truth["heartbeat_period"],
-        monitoring_round=truth["monitoring_round"],
     )
 
     minutes = truth["duration_seconds"] // 60
@@ -262,7 +260,7 @@ def verify_consistency(out_dir: str) -> ConsistencyReport:
             if line != render_line(event):
                 issues.append(f"backend-metrics line {k + 1}: differs from recomputation")
 
-    period_ms = workload.heartbeat_period * 1000
+    period_ms = LG.HEARTBEAT_PERIOD * 1000
     beats = workload.duration_seconds * 1000 // period_ms
     if len(heartbeats) != beats:
         issues.append("heartbeat line count differs from recomputation")

@@ -1,3 +1,4 @@
+import io
 import os
 
 from stormwatch import shipper as SH
@@ -63,6 +64,7 @@ class TestTailOnce:
         # by max_records mid-read; the last read is all ASCII and ends in a
         # partial line that a later write completes with a multi-byte one.
         lines = [b"ascii one", b"ascii two", "café ☃".encode(), b"bad \xff byte",
+                 "cut ☃".encode()[:-1],
                  b"", "\U0001f600 end".encode(), b"ascii three", b"ascii four"]
         path = heartbeat_path(tmp_path)
         with open(path, "wb") as handle:
@@ -84,6 +86,31 @@ class TestTailOnce:
         batch, registry = SH.tail_once(registry, path, 100)
         assert [(r.line, r.offset) for r in batch.records] == [("partial énd", starts[-1])]
         assert registry.entries[path].offset == os.path.getsize(path)
+
+    def test_each_byte_is_read_about_once(self, tmp_path, monkeypatch):
+        path = heartbeat_path(tmp_path)
+        write(path, "".join(f"{i:06d} {'x' * (i % 400)}\n" for i in range(15_000)))
+        returned = []
+
+        class CountingFile(io.FileIO):
+            def readinto(self, buffer):
+                n = super().readinto(buffer)
+                returned.append(n or 0)
+                return n
+
+        monkeypatch.setattr(SH, "open", lambda name, mode: io.BufferedReader(CountingFile(name)),
+                            raising=False)
+        registry = SH.TailRegistry()
+        calls = 0
+        while True:
+            batch, registry = SH.tail_once(registry, path, 200)
+            calls += 1
+            if not batch.records:
+                break
+        size = os.path.getsize(path)
+        assert registry.entries[path].offset == size
+        # A call may read ahead at most one buffer past the last line it ships.
+        assert size <= sum(returned) <= size + calls * io.DEFAULT_BUFFER_SIZE
 
     def test_rotation_resets_offset(self, tmp_path):
         path = heartbeat_path(tmp_path)
