@@ -126,31 +126,35 @@ def cmd_loggen(args) -> int:
 def ingest(pipe, store, ship, paths, dead_file) -> dict[str, int]:
     """Ship each path to its end, process every record and index the documents.
 
-    Dead letters go to `dead_file` as JSON lines, and the shipper's registry
-    is checkpointed after every batch. Returns the shipped, indexed, dead and
+    Each shipped batch's documents are written with one `index_documents`
+    call, and the shipper's registry is checkpointed after it. Dead letters
+    go to `dead_file` as JSON lines. Returns the shipped, indexed, dead and
     dropped record counts.
     """
     from . import pipeline
-    shipped = indexed = dead = dropped = 0
+    shipped = indexed = dead = 0
+
+    def documents(records):
+        nonlocal dead
+        for record in records:
+            outcome = pipeline.process(pipe, record)
+            if isinstance(outcome, pipeline.DeadLetter):
+                dead += 1
+                dead_file.write(pipeline.dead_letter_json(outcome))
+                dead_file.write("\n")
+            elif outcome is not None:
+                yield outcome
+
     for path in paths:
         while True:
             batch = ship.poll(path)
             if not batch.records:
                 break
-            for record in batch.records:
-                shipped += 1
-                outcome = pipeline.process(pipe, record)
-                if outcome is None:
-                    dropped += 1
-                elif isinstance(outcome, pipeline.DeadLetter):
-                    dead += 1
-                    dead_file.write(pipeline.dead_letter_json(outcome))
-                    dead_file.write("\n")
-                else:
-                    index_store.index_document(store, outcome)
-                    indexed += 1
+            shipped += len(batch.records)
+            indexed += index_store.index_documents(store, documents(batch.records))
             ship.checkpoint()
-    return {"shipped": shipped, "indexed": indexed, "dead": dead, "dropped": dropped}
+    return {"shipped": shipped, "indexed": indexed, "dead": dead,
+            "dropped": shipped - indexed - dead}
 
 
 def cmd_ingest(args) -> int:

@@ -3,19 +3,24 @@
 Indices are named `storm-<kind>-YYYY.MM.DD` and each holds one in-memory
 shard. A shard keeps its documents as columns, one list of values per field
 indexed by ordinal, with each ordinal's id and field names (`Shard`). A
-write appends a document to the columns; the first query that reads a field
-builds that field's index from its column (text fields tokenized on
-non-alphanumeric boundaries and lowercased, keyword fields indexed verbatim,
-numeric fields sorted), and the next write drops it. A process that only
-writes, as ingest does, never builds one. Queries are an AST of
-term/boolean/range nodes; results are exact and sorted by (@timestamp, id),
-and search builds a `Document` only for a hit it returns. Aggregations and
-metric series read the matching documents' values straight from the
-columns (`field_values`; a whole column when every document of the shard
-matches), so they are exact. Each aggregation is computed afresh per call
-by kernels that run per document in C and in Python only per bucket or
-per distinct value (`aggregate`). `Document` is the store's own record
-type; the pipeline builds them, and this module imports no sibling.
+write takes a batch of documents (`index_documents`; ingest passes each
+shipped batch): it groups their ids and values by index and field names and
+appends each group to the columns with one `Shard.extend`. A string field
+whose values repeat keeps one object per distinct value in its column, as
+Parquet's dictionary encoding stores each distinct value once. The first
+query that reads a field builds that field's index from its column (text
+fields tokenized on non-alphanumeric boundaries and lowercased, keyword
+fields indexed verbatim, numeric fields sorted), and the next write drops
+it. A process that only writes, as ingest does, never builds one. Queries
+are an AST of term/boolean/range nodes; results are exact and sorted by
+(@timestamp, id), and search builds a `Document` only for a hit it returns.
+Aggregations and metric series read the matching documents' values
+straight from the columns (`field_values`; a whole column when every
+document of the shard matches), so they are exact. Each aggregation is
+computed afresh per call by kernels that run per document in C and in
+Python only per bucket or per distinct value (`aggregate`). `Document` is
+the store's own record type; the pipeline builds them, and this module
+imports no sibling.
 
 Snapshots persist one directory per index: a manifest plus the segments it
 lists. A segment is a zlib stream of column blocks (`_write_segment`), and
@@ -23,13 +28,13 @@ loading appends each block's columns to the shard in order (`Shard.extend`).
 The manifest is the commit point of a save; `index_names` lists the indices
 on disk by their manifests alone.
 
-A dated index holds only documents of its own UTC day (`index_document`
+A dated index holds only documents of its own UTC day (`index_documents`
 enforces it), so a time range prunes whole days: `load_store` skips the days
 a range cannot match and so does the search over a loaded store, and an
 index whose whole day the range covers is queried without it
 (`_day_in_range`), which spares building a day-sized set of ordinals. A
 store that knows its `root` loads an index from disk the first time a
-document is routed to it, so ingest reads only the days it writes, and a
+write reaches it, so ingest reads only the days it writes, and a
 save removes only the index directories that `delete_index` dropped.
 """
 
@@ -43,7 +48,7 @@ import shutil
 import zlib
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Iterator, Set
+from collections.abc import Iterable, Iterator, Set
 from datetime import datetime, timezone
 from functools import lru_cache, partial
 from itertools import chain, count, repeat
@@ -239,18 +244,22 @@ def tokenize(text: str) -> list[str]:
 
 # The document in a search entry (see `Shard.entries`).
 _DOCUMENT = itemgetter(3)
-_NONES = repeat(None)
 
 
 class Shard:
     """One shard's documents, held as columns, and the indexes its queries built.
 
-    Each write takes the next ordinal: `ids[o]` is the document's id,
+    A write (`extend`) appends a group of documents that share their field
+    names, each at the next ordinal: `ids[o]` is the document's id,
     `shapes[o]` its field names in their order (one tuple shared by the
     ordinals that have them), and `columns[field][o]` each field's value,
     None where the shape lacks the field. `by_id` maps the id of each live
     document to its ordinal. Replacing a document sets its old ordinal to
     None in every column, so a column read whole holds live values only.
+    `memos` holds, per field that a batch write has seen, the dict through
+    which `index_documents` passes the field's repeated strings so that
+    the column keeps one object per distinct value, or None for a field
+    whose values are not such strings.
 
     A write drops everything built from the columns. The first query that
     reads a field builds its index from the field's column: `postings` for
@@ -263,14 +272,15 @@ class Shard:
     documents.
     """
 
-    __slots__ = ("ids", "shapes", "columns", "by_id", "live", "plans", "entries", "postings",
-                 "ranges")
+    __slots__ = ("ids", "shapes", "columns", "by_id", "memos", "live", "plans", "entries",
+                 "postings", "ranges")
 
     def __init__(self) -> None:
         self.ids: list[str] = []
         self.shapes: list[tuple[str, ...]] = []
         self.columns: dict[str, list] = {}
         self.by_id: dict[str, int] = {}
+        self.memos: dict[str, dict[str, str] | None] = {}
         self.live: frozenset[int] | None = None
         # Per field-name tuple: its shared shape and the columns a write of
         # that shape appends to, its own fields first (see `_plan`).
@@ -302,40 +312,27 @@ class Shard:
         for name in self.shapes[ord_]:
             self.columns[name][ord_] = None
 
-    def upsert(self, doc: Document) -> None:
-        """Store a document, replacing the one with its id."""
-        self._invalidate()
-        old = self.by_id.get(doc.id)
-        if old is not None:
-            self._drop(old)
-        fields = doc.fields
-        names = tuple(fields)
-        shape, columns = self.plans.get(names) or self._plan(names)
-        self.by_id[doc.id] = len(self.ids)
-        self.ids.append(doc.id)
-        self.shapes.append(shape)
-        any(map(list.append, columns, chain(fields.values(), _NONES)))
-
     def extend(self, names: tuple, ids: list[str], values: list[list]) -> None:
         """Append documents that share their field names: their ids and one
         list of values per name, each in `ids` order. A document replaces
-        the one stored with its id, as with `upsert`."""
+        the one stored with its id. Ids that repeat within the group, or a
+        list whose length differs from the ids', are a ValueError that
+        leaves the shard as it was."""
         n = len(ids)
         if any(len(column) != n for column in values):
             raise ValueError("a column's length differs from its ids'")
+        start = len(self.ids)
+        ords = dict(zip(ids, range(start, start + n)))
+        if len(ords) != n:
+            raise ValueError("ids repeat within a group")
         self._invalidate()
         by_id = self.by_id
-        repeated = by_id.keys() & ids
-        for id_ in repeated:
+        for id_ in by_id.keys() & ords.keys():
             self._drop(by_id[id_])
-        expected = len(by_id) - len(repeated) + n
         shape, columns = self.plans.get(names) or self._plan(names)
-        start = len(self.ids)
         self.ids.extend(ids)
         self.shapes.extend(repeat(shape, n))
-        by_id.update(zip(ids, range(start, start + n)))
-        if len(by_id) != expected:
-            raise ValueError("ids repeat within a group")
+        by_id.update(ords)
         for column, group in zip(columns, chain(values, repeat([None] * n))):
             column.extend(group)
 
@@ -477,10 +474,6 @@ class TimeIndex:
     def doc_count(self) -> int:
         return len(self.shards[0].by_id)
 
-    def upsert(self, doc: Document) -> None:
-        self.shards[0].upsert(doc)
-        self.dirty = True
-
 
 class Store:
     """A collection of day-partitioned indices, optionally disk-backed.
@@ -537,24 +530,80 @@ def _day_in_range(
     return (lo is None or lo <= start) and (hi is None or hi >= end)
 
 
+def index_documents(store: Store, docs: Iterable[Document]) -> int:
+    """Write a batch of documents to their indices; returns how many it took.
+
+    Each document's id and values join the group for its index and field
+    names, and at the end each group is appended with one `Shard.extend`,
+    so the batch holds no `Document`. A document whose id the batch already
+    holds ends the write there and starts the next, so it replaces the
+    earlier one, as a stored id is replaced. A document without an int
+    `@timestamp`, or outside its index's day, is a StoreError before the
+    documents grouped with it are written.
+
+    A group's string column goes through its shard's memo for the field
+    (`Shard.memos`), which the field's first group decides on: a memo when
+    its values are all strings and at most half of them distinct, else
+    None. A later group is shared only if its values are all strings too,
+    so no value ever changes its type.
+    """
+    groups: dict[tuple[str, tuple], tuple[list[str], list[list]]] = {}
+    seen: set[str] = set()
+    written = 0
+    for doc in docs:
+        fields = doc.fields
+        timestamp = fields.get("@timestamp")
+        if type(timestamp) is not int:
+            raise StoreError(f"document {doc.id} has no @timestamp")
+        if not _check_day(doc.index_name, timestamp):
+            raise StoreError(
+                f"document timestamp outside index day: {doc.index_name}"
+            )
+        if doc.id in seen:
+            _write_groups(store, groups)
+            groups, seen = {}, set()
+        seen.add(doc.id)
+        key = (doc.index_name, tuple(fields))
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = ([], [[] for _ in fields])
+        group[0].append(doc.id)
+        any(map(list.append, group[1], fields.values()))
+        written += 1
+    _write_groups(store, groups)
+    return written
+
+
 def index_document(store: Store, doc: Document) -> None:
-    """Upsert one document into its index."""
-    timestamp = doc.fields.get("@timestamp")
-    if type(timestamp) is not int:
-        raise StoreError(f"document {doc.id} has no @timestamp")
-    if not _check_day(doc.index_name, timestamp):
-        raise StoreError(
-            f"document timestamp outside index day: {doc.index_name}"
-        )
-    index = store.indices.get(doc.index_name)
-    if index is None:
-        name = doc.index_name
-        if store.root is not None and name not in store.deleted:
-            index = load_store(store.root, name).indices.get(name)
+    """Write one document (see `index_documents`)."""
+    index_documents(store, (doc,))
+
+
+_STRINGS = frozenset({str})
+
+
+def _write_groups(
+    store: Store, groups: dict[tuple[str, tuple], tuple[list[str], list[list]]]
+) -> None:
+    for (name, names), (ids, values) in groups.items():
+        index = store.indices.get(name)
         if index is None:
-            index = TimeIndex(name)
-        store.indices[name] = index
-    index.upsert(doc)
+            if store.root is not None and name not in store.deleted:
+                index = load_store(store.root, name).indices.get(name)
+            if index is None:
+                index = TimeIndex(name)
+            store.indices[name] = index
+        shard = index.shards[0]
+        memos = shard.memos
+        for field, column in zip(names, values):
+            if field not in memos:
+                strings = set(map(type, column)) == _STRINGS
+                memos[field] = {} if strings and 2 * len(set(column)) <= len(column) else None
+            memo = memos[field]
+            if memo is not None and set(map(type, column)) == _STRINGS:
+                column[:] = map(memo.setdefault, column, column)
+        shard.extend(names, ids, values)
+        index.dirty = True
 
 
 def match_index_pattern(pattern: str, names: list[str]) -> list[str]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from functools import lru_cache
 
 from stormwatch import codecs as C
 from stormwatch import index as IX
@@ -139,8 +140,11 @@ EVENT_GENERATORS = {
 _ORACLE_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-def oracle_tokens(text: str) -> set[str]:
-    return set(_ORACLE_TOKEN_RE.findall(text.lower()))
+@lru_cache(maxsize=None)
+def oracle_tokens(text: str) -> frozenset[str]:
+    """The tokens of a text; cached, since the oracle scans the same
+    documents for every query."""
+    return frozenset(_ORACLE_TOKEN_RE.findall(text.lower()))
 
 
 def oracle_match(doc, q) -> bool:

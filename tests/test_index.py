@@ -578,11 +578,11 @@ class TestSegments:
         path.mkdir()
         segments = []
         for n in range(2):
-            shard = IX.Shard()
+            part = IX.Store()
             for doc in docs[n::2]:
-                shard.upsert(doc)
+                IX.index_document(part, doc)
             segments.append(f"shard-{n}.1.seg")
-            IX._write_segment(shard, str(path / segments[-1]))
+            IX._write_segment(part.indices[self.NAME].shards[0], str(path / segments[-1]))
         (path / "manifest.json").write_text(json.dumps({
             "format": 2, "name": self.NAME, "shard_count": 2,
             "doc_count": len(docs), "segments": segments}))
@@ -613,10 +613,10 @@ class TestSegments:
         path = tmp_path / self.NAME
         path.mkdir()
         for segment, batch in (("1.seg", docs), ("2.seg", later)):
-            shard = IX.Shard()
+            part = IX.Store()
             for doc in batch:
-                shard.upsert(doc)
-            IX._write_segment(shard, str(path / segment))
+                IX.index_document(part, doc)
+            IX._write_segment(part.indices[self.NAME].shards[0], str(path / segment))
         (path / "manifest.json").write_text(json.dumps({
             "format": 2, "name": self.NAME, "doc_count": 320,
             "segments": ["1.seg", "2.seg"]}))
