@@ -157,6 +157,137 @@ def ingest(pipe, store, ship, paths, dead_file) -> dict[str, int]:
             "dropped": shipped - indexed - dead}
 
 
+def _shares(paths: list[str], workers: int, registry) -> list[list[tuple[int, str]]]:
+    """Deal the paths, whole log kinds at a time, onto at most `workers`
+    shares of (position in `paths`, path) pairs.
+
+    Indices are named by kind and day contexts are kept per source, so no
+    index or day context spans two shares. The kinds go largest first, by
+    the file bytes the `registry` has yet to ship, onto the share with the
+    fewest bytes so far; each share keeps its paths in the given order. A
+    kind with nothing to ship adds no share, so a no-op ingest is one share.
+    """
+    from . import codecs, shipper
+    kinds = [codecs.classify_file(path) for path in paths]
+    sizes: dict = {}
+    for kind, path in zip(kinds, paths):
+        st = os.stat(path)
+        unshipped = st.st_size - shipper.resume_offset(registry, path, st)
+        sizes[kind] = sizes.get(kind, 0) + unshipped
+    loads = [0] * max(1, min(workers, sum(map(bool, sizes.values()))))
+    share_of = {}
+    for kind in sorted(sizes, key=sizes.get, reverse=True):
+        share_of[kind] = loads.index(min(loads))
+        loads[share_of[kind]] += sizes[kind]
+    shares: list[list[tuple[int, str]]] = [[] for _ in loads]
+    for position, (kind, path) in enumerate(zip(kinds, paths)):
+        shares[share_of[kind]].append((position, path))
+    return shares
+
+
+def _ingest_share(pipe, ship, root: str, share: list[tuple[int, str]], dead_file) -> dict:
+    """Run `ingest` over one share into its own store and save that store.
+
+    Returns the counts, the names of the indices written, the share's final
+    registry entries and the `perf_counter` at the end of the loop. An
+    exception is returned, not raised, as `error`, with `at`, the position
+    of the path it came from.
+    """
+    store = index_store.Store(root=root)
+    at = share[0][0]
+
+    def walk():
+        nonlocal at
+        for at, path in share:
+            yield path
+
+    result = {"error": None, "at": None}
+    try:
+        result["counts"] = ingest(pipe, store, ship, walk(), dead_file)
+        result["end"] = time.perf_counter()
+        result["indices"] = list(store.indices)
+        index_store.save_store(store, root)
+    except Exception as exc:
+        result.update(error=exc, at=at)
+    entries = ship.registry.entries
+    result["entries"] = {path: entries[path] for _, path in share if path in entries}
+    return result
+
+
+def _fork_share(pipe, ship, root: str, share: list[tuple[int, str]]) -> tuple[int, int]:
+    """Fork a process that runs `_ingest_share` and sends its result, with
+    its dead letters as `dead`, back over a pipe. Returns the child's pid
+    and the pipe's read end. The child never returns from here."""
+    import io
+    import pickle
+    read_fd, write_fd = os.pipe()
+    # The CLI starts no threads, so no lock is held across the fork.
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        os.close(read_fd)
+        dead = io.StringIO()
+        result = _ingest_share(pipe, ship, root, share, dead)
+        result["dead"] = dead.getvalue()
+        with os.fdopen(write_fd, "wb") as out:
+            pickle.dump(result, out)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap_share(pid: int, read_fd: int, share: list[tuple[int, str]]) -> dict:
+    """Read a forked share's result to the end of its pipe, then reap it."""
+    import pickle
+    with os.fdopen(read_fd, "rb") as handle:
+        data = handle.read()
+    _, status = os.waitpid(pid, 0)
+    if data:
+        return pickle.loads(data)
+    code = os.waitstatus_to_exitcode(status)
+    return {"error": RuntimeError(f"ingest worker {pid} exited with status {code}"),
+            "at": share[0][0], "entries": {}, "dead": ""}
+
+
+def _ingest_shares(pipe, ship, root: str, shares, dead_file) -> tuple[dict, set[str], float]:
+    """Ingest every share, the first in this process and each other one in
+    a forked process; returns the summed counts, the indices written and
+    the latest loop end.
+
+    Every forked share is reaped, whatever fails. Its registry entries are
+    then merged into `ship` and checkpointed, and its dead letters appended
+    to `dead_file`, before the first error in path order is raised.
+    """
+    from . import shipper
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append((*_fork_share(pipe, ship, root, share), share))
+        results = [_ingest_share(pipe, ship, root, shares[0], dead_file)]
+    finally:
+        forked = [_reap_share(*child) for child in children]
+    if forked:
+        entries = dict(ship.registry.entries)
+        for result in forked:
+            entries.update(result["entries"])
+            dead_file.write(result["dead"])
+        ship.registry = shipper.TailRegistry(entries)
+        ship.checkpoint()
+    results += forked
+    failed = [result for result in results if result["error"] is not None]
+    if failed:
+        raise min(failed, key=lambda result: result["at"])["error"]
+    counts = {key: sum(result["counts"][key] for result in results)
+              for key in results[0]["counts"]}
+    indices = set().union(*(result["indices"] for result in results))
+    return counts, indices, max(result["end"] for result in results)
+
+
 def cmd_ingest(args) -> int:
     from . import pipeline, shipper
     if args.batch_size < 1:
@@ -172,19 +303,19 @@ def cmd_ingest(args) -> int:
     pipe = pipeline.load_pipeline(config_text)
 
     os.makedirs(args.store, exist_ok=True)
-    store = index_store.Store(root=args.store)
     registry_path = args.registry or os.path.join(args.store, "registry.json")
     dead_path = args.dead_letters or os.path.join(args.store, "dead_letters.jsonl")
     ship = shipper.Shipper(registry_path, beat_name=args.beat_name, batch_size=args.batch_size)
+    # One share per usable CPU; with one, nothing is forked.
+    affinity = getattr(os, "sched_getaffinity", None)
+    shares = _shares(args.paths, len(affinity(0)) if affinity else 1, ship.registry)
+    existing = index_store.index_names(args.store)
 
     started = time.perf_counter()
     with open(dead_path, "a", encoding="utf-8") as dead_file:
-        counts = ingest(pipe, store, ship, args.paths, dead_file)
-    elapsed = time.perf_counter() - started
-    # The store holds only the indices this run wrote to; until the save,
-    # the indices on disk are those from before the run.
-    created = sorted(store.indices.keys() - index_store.index_names(args.store))
-    index_store.save_store(store, args.store)
+        counts, written, loop_end = _ingest_shares(pipe, ship, args.store, shares, dead_file)
+    elapsed = loop_end - started
+    created = sorted(written - set(existing))
     shipped, indexed = counts["shipped"], counts["indexed"]
     dead, dropped = counts["dead"], counts["dropped"]
 

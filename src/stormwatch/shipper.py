@@ -49,6 +49,16 @@ class Batch:
     records: tuple[RawRecord, ...]
 
 
+def resume_offset(registry: TailRegistry, path: str, st: os.stat_result) -> int:
+    """The offset a poll of `path`, whose `os.stat` is `st`, reads from: its
+    registry offset, or 0 when the file is new, rotated (another identity)
+    or truncated (shorter than the offset)."""
+    entry = registry.entries.get(path)
+    if entry is None or entry.identity != (st.st_dev, st.st_ino) or st.st_size < entry.offset:
+        return 0
+    return entry.offset
+
+
 def tail_once(
     registry: TailRegistry,
     path: str,
@@ -64,9 +74,7 @@ def tail_once(
     st = os.stat(path)
     identity = (st.st_dev, st.st_ino)
     entry = registry.entries.get(path)
-    offset = 0
-    if entry is not None and entry.identity == identity and st.st_size >= entry.offset:
-        offset = entry.offset
+    offset = resume_offset(registry, path, st)
 
     kind = classify_file(path)
     with open(path, "rb") as handle:
@@ -98,7 +106,11 @@ def tail_once(
 
 
 def checkpoint(registry: TailRegistry, store: str) -> None:
-    """Persist the registry atomically (write-temp, fsync, rename)."""
+    """Persist the registry atomically (write-temp, fsync, rename).
+
+    The temp file is named for this process, so two processes that
+    checkpoint one registry never rename each other's half-written file.
+    """
     payload = {
         path: {
             "offset": e.offset,
@@ -108,7 +120,7 @@ def checkpoint(registry: TailRegistry, store: str) -> None:
         }
         for path, e in sorted(registry.entries.items())
     }
-    tmp = f"{store}.tmp"
+    tmp = f"{store}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=0, sort_keys=True)
         handle.flush()

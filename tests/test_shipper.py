@@ -1,5 +1,7 @@
 import io
 import os
+import subprocess
+import sys
 
 from stormwatch import shipper as SH
 from stormwatch.codecs import LogKind
@@ -161,7 +163,36 @@ class TestTailOnce:
         assert duplicates == {"g1-a", "g1-b"}
 
 
+# Checkpoints one registry of 500 entries again and again, loading it after
+# each checkpoint; a load that does not parse, or a rename whose temp file
+# another process took, ends the process with a traceback.
+_CHECKPOINT_LOOP = """
+import sys
+from stormwatch import shipper as SH
+store, tag = sys.argv[1], sys.argv[2]
+registry = SH.TailRegistry(
+    {f"/logs/{tag}-{i}.log": SH.RegistryEntry(i, (1, i), i) for i in range(500)})
+for _ in range(200):
+    SH.checkpoint(registry, store)
+    assert len(SH.load_registry(store).entries) == 500
+"""
+
+
 class TestCheckpoint:
+    def test_two_processes_checkpointing_one_registry_keep_it_whole(self, tmp_path):
+        store = str(tmp_path / "registry.json")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(SH.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        procs = [
+            subprocess.Popen([sys.executable, "-c", _CHECKPOINT_LOOP, store, tag], env=env,
+                             stderr=subprocess.PIPE, text=True)
+            for tag in ("a", "b")
+        ]
+        errors = [proc.communicate(timeout=120)[1] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], errors
+        assert len(SH.load_registry(store).entries) == 500
+        assert os.listdir(tmp_path) == ["registry.json"]
+
     def test_round_trip_equality(self, tmp_path):
         path = heartbeat_path(tmp_path)
         write(path, "one\ntwo\n")
