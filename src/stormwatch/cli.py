@@ -191,7 +191,8 @@ def _ingest_share(pipe, ship, root: str, share: list[tuple[int, str]], dead_file
     Returns the counts, the names of the indices written, the share's final
     registry entries and the `perf_counter` at the end of the loop. An
     exception is returned, not raised, as `error`, with `at`, the position
-    of the path it came from.
+    of the path it came from, and no registry entries: the share saved none
+    of its documents.
     """
     store = index_store.Store(root=root)
     at = share[0][0]
@@ -209,7 +210,7 @@ def _ingest_share(pipe, ship, root: str, share: list[tuple[int, str]], dead_file
         index_store.save_store(store, root)
     except Exception as exc:
         result.update(error=exc, at=at)
-    entries = ship.registry.entries
+    entries = {} if result["error"] else ship.registry.entries
     result["entries"] = {path: entries[path] for _, path in share if path in entries}
     return result
 
@@ -257,13 +258,17 @@ def _ingest_shares(pipe, ship, root: str, shares, dead_file) -> tuple[dict, set[
     a forked process; returns the summed counts, the indices written and
     the latest loop end.
 
-    Every forked share is reaped, whatever fails. Its registry entries are
-    then merged into `ship` and checkpointed, and its dead letters appended
-    to `dead_file`, before the first error in path order is raised.
+    Every forked share is reaped, whatever fails, and its dead letters are
+    appended to `dead_file`. When a share was forked or failed, the shares'
+    registry entries are merged over those the run started from and
+    checkpointed, so a failed share's paths keep their start entries and
+    its lines ship again on the next run.
+    The first error in path order is then raised.
     """
     from . import shipper
     sys.stdout.flush()
     sys.stderr.flush()
+    start = ship.registry
     children = []
     try:
         for share in shares[1:]:
@@ -271,15 +276,16 @@ def _ingest_shares(pipe, ship, root: str, shares, dead_file) -> tuple[dict, set[
         results = [_ingest_share(pipe, ship, root, shares[0], dead_file)]
     finally:
         forked = [_reap_share(*child) for child in children]
-    if forked:
-        entries = dict(ship.registry.entries)
-        for result in forked:
+    results += forked
+    for result in forked:
+        dead_file.write(result["dead"])
+    failed = [result for result in results if result["error"] is not None]
+    if forked or failed:
+        entries = dict(start.entries)
+        for result in results:
             entries.update(result["entries"])
-            dead_file.write(result["dead"])
         ship.registry = shipper.TailRegistry(entries)
         ship.checkpoint()
-    results += forked
-    failed = [result for result in results if result["error"] is not None]
     if failed:
         raise min(failed, key=lambda result: result["at"])["error"]
     counts = {key: sum(result["counts"][key] for result in results)

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import corpus_paths
 from stormwatch import index as IX
+from stormwatch.codecs import FILENAME_FOR_KIND, LogKind
 from stormwatch.cli import main
 
 _AFFINITY = getattr(os, "sched_getaffinity", None)
@@ -133,25 +134,51 @@ def test_a_corrupt_day_fails_the_run_as_a_single_worker_does(
     small_corpus, tmp_path, capsys, forked, kind, other
 ):
     paths = corpus_paths(small_corpus["dir"])
-    store = str(tmp_path / "store")
-    code, _, err = pinned_ingest("--paths", *paths, "--store", store, "--base-date", "2024-03-01")
+    clean = str(tmp_path / "clean")
+    code, _, err = pinned_ingest("--paths", *paths, "--store", clean, "--base-date", "2024-03-01")
     assert code == 0, err
-    before = IX.load_store(store, f"storm-{other}-*").indices[f"storm-{other}-2024.03.01"]
-    with open(os.path.join(store, f"storm-{kind}-2024.03.01", "manifest.json"), "w") as handle:
+    expected = stored_documents(clean)
+    # The store holds only the failing kind's day, so a run that records
+    # lines it did not save loses them for good.
+    failing, survivor = (os.path.join(small_corpus["dir"], FILENAME_FOR_KIND[LogKind(name)])
+                         for name in (kind, other))
+    store = str(tmp_path / "store")
+    code, _, err = pinned_ingest("--paths", failing, "--store", store, "--base-date", "2024-03-01")
+    assert code == 0, err
+    day = f"storm-{kind}-2024.03.01"
+    with open(os.path.join(store, day, "manifest.json"), "w") as handle:
         handle.write("{")
-    shutil.copytree(store, tmp_path / "copy")
+    copy = str(tmp_path / "copy")
+    shutil.copytree(store, copy)
 
     # Fresh registries, so both runs ship every line again.
-    code = main(["ingest", "--paths", *paths, "--store", store, "--base-date", "2024-03-01",
-                 "--registry", str(tmp_path / "shares.json")])
+    registries = [str(tmp_path / name) for name in ("shares.json", "single.json")]
+    argv = ["--base-date", "2024-03-01", "--paths", *paths]
+    code = main(["ingest", *argv, "--store", store, "--registry", registries[0]])
     out, err = capsys.readouterr()
-    pinned = pinned_ingest("--paths", *paths, "--store", str(tmp_path / "copy"),
-                           "--base-date", "2024-03-01",
-                           "--registry", str(tmp_path / "single.json"))
+    pinned = pinned_ingest(*argv, "--store", copy, "--registry", registries[1])
     assert (code, out, err) == pinned
     assert code == 2
-    assert err.startswith(f"error: snapshot corrupt for storm-{kind}-2024.03.01")
+    assert out == ""
+    assert err.startswith(f"error: snapshot corrupt for {day}")
     assert len(forked) == min(CPUS, 5) - 1
     assert_reaped(forked)
-    after = IX.load_store(store, f"storm-{other}-*").indices[f"storm-{other}-2024.03.01"]
-    assert after.doc_count == before.doc_count
+    other_day = f"storm-{other}-2024.03.01"
+    after = IX.load_store(store, f"storm-{other}-*").indices[other_day]
+    assert after.doc_count == IX.load_store(clean, f"storm-{other}-*").indices[other_day].doc_count
+    # A share that failed saved nothing and records none of its lines.
+    shares, single = (registry_offsets(path) for path in registries)
+    assert single == {}
+    assert failing not in shares
+    assert shares == {path: os.path.getsize(path) for path in shares}
+    assert survivor in shares
+
+    # Once the day is repaired, a rerun ships what the failed run did not save.
+    for root in (store, copy):
+        shutil.rmtree(os.path.join(root, day))
+    assert main(["ingest", *argv, "--store", store, "--registry", registries[0]]) == 0
+    code, _, err = pinned_ingest(*argv, "--store", copy, "--registry", registries[1])
+    assert code == 0, err
+    assert_reaped(forked)
+    assert stored_documents(store) == expected
+    assert stored_documents(copy) == expected
