@@ -23,8 +23,10 @@ the store's own record type; the pipeline builds them, and this module
 imports no sibling.
 
 Snapshots persist one directory per index: a manifest plus the segments it
-lists. A segment is a zlib stream of column blocks (`_write_segment`), and
-loading appends each block's columns to the shard in order (`Shard.extend`).
+lists. A segment is a zlib stream of column blocks (`_write_segment`) in
+which a column's repeated strings are written once, as a dictionary.
+Loading appends each block's columns to the shard in order (`Shard.extend`),
+so a loaded column keeps one object per distinct string of its block too.
 The manifest is the commit point of a save; `index_names` lists the indices
 on disk by their manifests alone.
 
@@ -259,7 +261,8 @@ class Shard:
     `memos` holds, per field that a batch write has seen, the dict through
     which `index_documents` passes the field's repeated strings so that
     the column keeps one object per distinct value, or None for a field
-    whose values are not such strings.
+    whose values are not such strings; a save writes the fields that have
+    a memo as dictionaries (`_write_segment`), and a load sets none.
 
     A write drops everything built from the columns. The first query that
     reads a field builds its index from the field's column: `postings` for
@@ -775,7 +778,8 @@ def delete_index(store: Store, name: str) -> None:
 # Snapshots
 
 # The manifest's `format`; the docs.jsonl layout that preceded it had none.
-SNAPSHOT_FORMAT = 2
+# Format 2, the same layout without dictionary lines, still loads.
+SNAPSHOT_FORMAT = 3
 _MANIFEST = "manifest.json"
 _MANIFEST_TMP = "manifest.json.tmp"
 # A save encodes and compresses one block of this many documents at a time.
@@ -799,10 +803,13 @@ def _write_segment(shard: Shard, path: str) -> None:
 
     A block holds up to `_BLOCK_DOCS` documents in ordinal order, grouped by
     their shapes. Each group is a JSON line `[keys, ids]` with the keys
-    sorted, then one JSON array per key: that field's values, in `ids` order.
+    sorted, then one line per key holding that field's values in `ids`
+    order: a dictionary `{"d": distinct values, "i": position per document}`
+    when the field has a memo (`Shard.memos`) and its values in the group
+    are all strings, at most half of them distinct; else a JSON array.
     """
     ords = sorted(shard.by_id.values())
-    shapes, columns = shard.shapes, shard.columns
+    shapes, columns, memos = shard.shapes, shard.columns, shard.memos
     deflate = zlib.compressobj(1)
     with open(path, "wb") as handle:
         for start in range(0, len(ords), _BLOCK_DOCS):
@@ -812,7 +819,14 @@ def _write_segment(shard: Shard, path: str) -> None:
             for names, group in groups.items():
                 keys = sorted(names)
                 lines = [[keys, [*map(shard.ids.__getitem__, group)]]]
-                lines += [[*map(columns[key].__getitem__, group)] for key in keys]
+                for key in keys:
+                    values = [*map(columns[key].__getitem__, group)]
+                    if memos.get(key) is not None and set(map(type, values)) == _STRINGS:
+                        distinct = [*dict.fromkeys(values)]
+                        if 2 * len(distinct) <= len(values):
+                            where = dict(zip(distinct, count()))
+                            values = {"d": distinct, "i": [*map(where.__getitem__, values)]}
+                    lines.append(values)
                 for line in lines:
                     handle.write(deflate.compress(f"{_encode(line)}\n".encode("utf-8")))
         handle.write(deflate.flush())
@@ -833,12 +847,31 @@ def _segment_lines(path: str) -> Iterator[bytes]:
         raise ValueError("truncated segment")
 
 
+def _column_line(line: bytes) -> list:
+    """A segment's value line as a list, a dictionary line's equal strings as
+    one object. A damaged line raises ValueError, IndexError or TypeError."""
+    values = json.loads(line)
+    if type(values) is dict:
+        distinct, at = values.get("d"), values.get("i")
+        # Indexing refuses a position past the end or not an int, but not a
+        # negative one or a bool; only a line that spells a bool is scanned.
+        if (len(values) != 2 or type(distinct) is not list or type(at) is not list
+                or (at and min(at) < 0)
+                or ((b"true" in line or b"false" in line)
+                    and not {int}.issuperset(map(type, at)))):
+            raise ValueError("a damaged dictionary line")
+        values = [*map(distinct.__getitem__, at)]
+    if type(values) is not list:
+        raise ValueError("a value line is neither an array nor a dictionary")
+    return values
+
+
 def _load_segment(shard: Shard, path: str) -> None:
     """Append a segment's groups to a shard, in the segment's order."""
     lines = _segment_lines(path)
     for header in lines:
         keys, ids = json.loads(header)
-        shard.extend(tuple(keys), ids, [json.loads(next(lines)) for _ in keys])
+        shard.extend(tuple(keys), ids, [_column_line(next(lines)) for _ in keys])
 
 
 def _load_index(path: str, name: str) -> TimeIndex:
@@ -848,15 +881,15 @@ def _load_index(path: str, name: str) -> TimeIndex:
             manifest = json.load(handle)
         if type(manifest) is not dict:
             raise ValueError("the manifest is not a JSON object")
-        if manifest.get("format") != SNAPSHOT_FORMAT:
+        if manifest.get("format") not in (2, SNAPSHOT_FORMAT):
             raise StoreError(
-                f"{name}: not a format-{SNAPSHOT_FORMAT} snapshot (the older docs.jsonl"
-                " layout is not read); re-ingest its logs into a fresh store"
+                f"{name}: not a format-2 or format-{SNAPSHOT_FORMAT} snapshot (the older"
+                " docs.jsonl layout is not read); re-ingest its logs into a fresh store"
             )
         for segment in manifest["segments"]:
             _load_segment(index.shards[0], os.path.join(path, segment))
         doc_count = int(manifest["doc_count"])
-    except (zlib.error, ValueError, KeyError, TypeError, StopIteration) as exc:
+    except (zlib.error, ValueError, KeyError, IndexError, TypeError, StopIteration) as exc:
         raise StoreError(f"snapshot corrupt for {name}: {exc!r}") from exc
     if index.doc_count != doc_count:
         raise StoreError(f"snapshot corrupt for {name}: doc_count mismatch")

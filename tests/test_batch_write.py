@@ -1,8 +1,10 @@
 """The batch write: `index_documents`, the `cli.ingest` loop that calls it
-once per shipped batch, and the strings it shares within a column."""
+once per shipped batch, and the strings it shares within a column, which a
+save writes as dictionary lines and a load shares again."""
 
 import io
 import json
+import os
 
 import pytest
 
@@ -16,6 +18,10 @@ BASE_TS = 1709251200000
 # Equal to one another in pairs (1 == 1.0 == True, -0.0 == 0.0), so a
 # write that shares values by equality alone would merge them.
 MIXED = [1, 1.0, True, -0.0, 0.0, None, ["xy", 1], "xy"]
+
+
+# Strings a dictionary line must give back with their type and text.
+TEXTS = ["", "1", "null", "naïve Ωmega 東京", 'say "hi"', "two\nlines"]
 
 
 def doc(i, **fields):
@@ -34,6 +40,19 @@ def same(a, b):
 
 def stored(store):
     return {d.id: d.fields for d in IX.search(store, "storm-*", IX.MatchAll())}
+
+
+def value_lines(root):
+    """The decoded value lines of every segment under `root`, headers left
+    out: a dictionary line as its JSON object, a plain one as its array."""
+    found = []
+    for name in os.listdir(root):
+        for leaf in os.listdir(os.path.join(root, name)):
+            if leaf.endswith(".seg"):
+                lines = IX._segment_lines(os.path.join(root, name, leaf))
+                for header in lines:
+                    found += [json.loads(next(lines)) for _ in json.loads(header)[0]]
+    return found
 
 
 class ReplayShip:
@@ -171,6 +190,61 @@ class TestSharedStrings:
             for record in backend_records:
                 want = "grid" if record in backend_records[:3] else ["grid", 1]
                 assert same(tags[pipeline.record_id(record)], want)
+
+    def test_a_load_keeps_each_value_and_one_object_per_repeated_string(self, tmp_path):
+        # `v` is repeated strings in its first shape and mixed values in a
+        # second one, whose `w` is repeated strings again.
+        batch = [doc(i, v=fresh(TEXTS[i % len(TEXTS)])) for i in range(24)]
+        batch += [doc(30 + i, v=value, w=fresh("xy"))
+                  for i, value in enumerate(MIXED + [fresh("xy") for _ in range(8)])]
+        store = IX.Store()
+        IX.index_documents(store, batch)
+        IX.save_store(store, str(tmp_path))
+
+        lines = value_lines(str(tmp_path))
+        dictionaries = [line for line in lines if type(line) is dict]
+        assert {"d": TEXTS, "i": list(range(len(TEXTS))) * 4} in dictionaries
+        assert {"d": ["xy"], "i": [0] * 16} in dictionaries
+        assert [*map(repr, MIXED), *["'xy'"] * 8] in [list(map(repr, line)) for line in lines]
+        loaded = IX.load_store(str(tmp_path))
+        got, want = stored(loaded), {d.id: d.fields for d in batch}
+        assert got.keys() == want.keys()
+        for id_, fields in want.items():
+            assert got[id_].keys() == fields.keys()
+            assert all(same(got[id_][k], v) for k, v in fields.items()), id_
+        shard = loaded.indices[NAME].shards[0]
+        values = [shard.columns["v"][shard.by_id[doc(i).id]] for i in range(24)]
+        for text in TEXTS:
+            assert len({id(v) for v in values if v == text}) == 1
+
+    def test_an_append_to_a_loaded_day_gives_the_documents_of_one_write(self, tmp_path):
+        first = [doc(i, status=fresh(["INFO", "WARN"][i % 2]), host=fresh("se01"))
+                 for i in range(12)]
+        later = [doc(20 + i, status=fresh("ERROR"), port=fresh("8444")) for i in range(6)]
+        later += [doc(i, status=fresh("INFO")) for i in range(0, 12, 3)]
+        root = str(tmp_path / "appended")
+        store = IX.Store()
+        IX.index_documents(store, first)
+        IX.save_store(store, root)
+        appended = IX.Store(root)
+        IX.index_documents(appended, later)
+        memos = appended.indices[NAME].shards[0].memos
+        assert memos["status"] is not None and memos["port"] is not None
+        assert "host" not in memos
+        IX.save_store(appended, root)
+
+        # The loaded `host` column has no memo, so it is written plain.
+        lines = value_lines(root)
+        assert {"d": ["ERROR"], "i": [0] * 6} in lines
+        assert [line for line in lines if "se01" in line] == [["se01"] * 8]
+        cold = IX.Store()
+        IX.index_documents(cold, first + later)
+        IX.save_store(cold, str(tmp_path / "cold"))
+        got, want = stored(IX.load_store(root)), stored(IX.load_store(str(tmp_path / "cold")))
+        assert got.keys() == want.keys()
+        for id_, fields in want.items():
+            assert list(got[id_]) == list(fields)
+            assert all(same(got[id_][k], v) for k, v in fields.items()), id_
 
 
 class TestRefusedExtend:

@@ -7,6 +7,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -339,7 +340,7 @@ class TestQueryAndAgg:
         (root / name / "manifest.json").write_text(json.dumps({"name": name, "doc_count": 1}))
         code, _, stderr = run(capsys, "query", "--store", str(root), "--index", "storm-*")
         assert code == 2
-        assert stderr.startswith(f"error: {name}: not a format-2 snapshot")
+        assert stderr.startswith(f"error: {name}: not a format-2 or format-3 snapshot")
 
         manifest = {"format": 2, "name": name, "doc_count": 1, "segments": [segment.name]}
         for damaged in (json.dumps(manifest)[:-9], json.dumps([manifest]),
@@ -349,6 +350,39 @@ class TestQueryAndAgg:
             assert code == 2
             assert stderr.startswith(f"error: snapshot corrupt for {name}")
 
+    def test_a_damaged_dictionary_line_is_a_corrupt_snapshot(self, tmp_path, capsys):
+        name = "storm-backend-2024.03.01"
+        ts = parse_date_ms("2024-03-01")
+        root = tmp_path / "store"
+        (root / name).mkdir(parents=True)
+        (root / name / "manifest.json").write_text(json.dumps(
+            {"format": 3, "name": name, "doc_count": 2, "segments": ["1.seg"]}))
+
+        def query_with(status_line):
+            lines = [[["@timestamp", "status"], ["a", "b"]], [ts, ts + 1], status_line]
+            text = "".join(json.dumps(line) + "\n" for line in lines)
+            (root / name / "1.seg").write_bytes(zlib.compress(text.encode("utf-8")))
+            return run(capsys, "query", "--store", str(root), "--index", "storm-*",
+                       "--format", "json-lines")
+
+        code, out, _ = query_with({"d": ["WARN", "INFO"], "i": [1, 0]})
+        assert code == 0
+        assert [json.loads(line)["fields"]["status"] for line in out.splitlines()] == [
+            "INFO", "WARN"]
+        for damaged in (
+            {"d": ["INFO"], "i": [0, 1]},  # out of range
+            {"d": ["INFO", "WARN"], "i": [0, -1]},  # would take the last value
+            {"d": ["INFO", "WARN"], "i": [0, True]},  # would take "WARN"
+            {"d": ["INFO", "WARN"], "i": [False, 1]},
+            {"d": ["INFO"], "i": [0, 0.0]}, {"d": ["INFO"], "i": [0, "0"]},
+            {"d": ["INFO"], "i": [0, None]}, {"d": ["INFO"], "i": [0, [0]]},
+            {"d": "II", "i": [0, 1]}, {"d": ["INFO"], "i": {"0": 0, "1": 0}},
+            {"d": ["INFO"]}, {"i": [0, 0]}, {"d": ["INFO"], "i": [0, 0], "n": 2},
+            "II", 2,
+        ):
+            code, _, stderr = query_with(damaged)
+            assert code == 2, damaged
+            assert stderr.startswith(f"error: snapshot corrupt for {name}"), damaged
 
     @pytest.mark.parametrize(
         "agg,message",

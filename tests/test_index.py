@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import zlib
 from collections import Counter
 
 import pytest
@@ -494,6 +495,29 @@ def shard_state(index):
     return state
 
 
+def write_format_2(path, name, docs):
+    """Write `docs` as a format-2 index by hand under `path`: one segment of
+    one group per shape, every value line a plain JSON array."""
+    groups = {}
+    for doc in docs:
+        groups.setdefault(tuple(doc.fields), []).append(doc)
+    lines = []
+    for names, group in groups.items():
+        keys = sorted(names)
+        lines.append([keys, [d.id for d in group]])
+        lines += [[d.fields[key] for d in group] for key in keys]
+    path.mkdir()
+    text = "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines)
+    (path / "1.seg").write_bytes(zlib.compress(text.encode("utf-8"), 1))
+    (path / "manifest.json").write_text(json.dumps({
+        "format": 2, "name": name, "doc_count": len(docs), "segments": ["1.seg"]}))
+
+
+def manifest_format(path):
+    with open(path / "manifest.json", encoding="utf-8") as handle:
+        return json.load(handle)["format"]
+
+
 class TestSegments:
     NAME = f"storm-backend-{DAY}"
 
@@ -631,6 +655,58 @@ class TestSegments:
                   IX.Range("offset", max=150), IX.Term("message", "request done")):
             assert [d.id for d in IX.search(loaded, "storm-*", q)] == [
                 d.id for d in oracle_search(current, q)]
+
+    def test_a_format_2_segment_answers_as_before(self, tmp_path):
+        docs = [odd_doc(i) for i in range(300)]
+        write_format_2(tmp_path / self.NAME, self.NAME, docs)
+        loaded = IX.load_store(str(tmp_path))
+        whole = IX.Store()
+        IX.index_documents(whole, docs)
+
+        assert shard_state(loaded.indices[self.NAME]) == shard_state(whole.indices[self.NAME])
+        for q in (IX.MatchAll(), IX.Term("message", "naïve request 12"),
+                  IX.Term("status", 500), IX.Range("mean_ms", min=10, max=60)):
+            assert [d.id for d in IX.search(loaded, "storm-*", q)] == [
+                d.id for d in oracle_search(docs, q)]
+            for agg in (IX.TermsAgg("user_dn", 5), IX.StatsAgg("offset"),
+                        IX.DateHistogramAgg(60), IX.GeoGridAgg(1.0)):
+                assert IX.aggregate(loaded, "storm-*", q, agg) == (
+                    IX.aggregate(whole, "storm-*", q, agg))
+
+    def test_a_store_of_format_2_and_format_3_days(self, tmp_path):
+        day2 = "storm-backend-2024.03.02"
+        old = make_corpus(n=200, seed=19)
+        new = [Document(id=f"new{i:04d}", index_name=day2,
+                        fields={**d.fields, "@timestamp": d.fields["@timestamp"] + 86_400_000})
+               for i, d in enumerate(make_corpus(n=200, seed=23))]
+        write_format_2(tmp_path / self.NAME, self.NAME, old)
+        store = IX.Store()
+        IX.index_documents(store, new)
+        IX.save_store(store, str(tmp_path))
+        assert manifest_format(tmp_path / day2) == IX.SNAPSHOT_FORMAT == 3
+        segment = next((tmp_path / day2).glob("*.seg"))
+        assert any(line.startswith(b'{"d":') for line in IX._segment_lines(str(segment)))
+
+        def assert_answers(current):
+            loaded = IX.load_store(str(tmp_path))
+            for q in (IX.MatchAll(), IX.Term("status", "ERROR"), IX.Term("action", "srmLs"),
+                      IX.Term("message", "srmRm done"), IX.Range("offset", min=50, max=120)):
+                hits = oracle_search(current, q)
+                got = IX.search(loaded, "storm-*", q)
+                assert [(d.id, d.fields) for d in got] == [(d.id, d.fields) for d in hits]
+                counts = Counter(d.fields["action"] for d in hits)
+                want = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
+                assert IX.aggregate(loaded, "storm-*", q, IX.TermsAgg("action", 9)) == want
+
+        assert_answers(old + new)
+        # A write to the format-2 day saves it as format 3.
+        extra = make_doc(500, status="ERROR", action="srmLs", message="late srmLs",
+                         mean_ms=1.5, offset=500)
+        appended = IX.Store(str(tmp_path))
+        IX.index_documents(appended, [extra])
+        IX.save_store(appended, str(tmp_path))
+        assert manifest_format(tmp_path / self.NAME) == 3
+        assert_answers(old + new + [extra])
 
     def test_old_docs_jsonl_layout_is_refused(self, tmp_path):
         path = tmp_path / self.NAME
