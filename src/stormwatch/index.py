@@ -16,9 +16,13 @@ are an AST of term/boolean/range nodes; results are exact and sorted by
 (@timestamp, id), and search builds a `Document` only for a hit it returns.
 Aggregations and metric series read the matching documents' values
 straight from the columns (`field_values`; a whole column when every
-document of the shard matches), so they are exact. Each aggregation is
-computed afresh per call by kernels that run per document in C and in
-Python only per bucket or per distinct value (`aggregate`). `Document` is
+document of the shard matches), so they are exact. A terms or geo-grid
+aggregation that matches a shard's every live document counts the shard's
+values once, on first use, and keeps the counts until the next write, as
+postings are kept (`Shard.count`); a filtered or partial-range one counts
+its hits per call, as stats, date histograms and metric series read theirs.
+The kernels run per document in C and in Python only per bucket or per
+distinct value (`aggregate`). `Document` is
 the store's own record type; the pipeline builds them, and this module
 imports no sibling.
 
@@ -262,13 +266,18 @@ class Shard:
     which `index_documents` passes the field's repeated strings so that
     the column keeps one object per distinct value, or None for a field
     whose values are not such strings; a save writes the fields that have
-    a memo as dictionaries (`_write_segment`), and a load sets none.
+    a memo as dictionaries (`_write_segment`), and a load gives an empty
+    memo to each field that arrives as a dictionary line.
 
     A write drops everything built from the columns. The first query that
     reads a field builds its index from the field's column: `postings` for
     a term on a string (`_terms`), `ranges` for a range or a numeric term
     (`_column`). `Term("id", …)` reads `by_id`, and `MatchAll` and `Not` the
-    frozen set of live ordinals, `live`. `entries` holds the (@timestamp, id,
+    frozen set of live ordinals, `live`. `counts` holds, per field (or pair
+    of fields, for a geo grid), how often each value occurs in the shard,
+    built by the first terms or geo-grid aggregation that matches the whole
+    live set (`count`); it holds one entry per distinct value, as postings
+    hold one per term. `entries` holds the (@timestamp, id,
     index name, document) tuple of each ordinal that search has returned, so
     that search sorts its hits as plain tuples and builds a hit's `Document`
     once; an id is unique within an index, so two tuples never compare their
@@ -276,7 +285,7 @@ class Shard:
     """
 
     __slots__ = ("ids", "shapes", "columns", "by_id", "memos", "live", "plans", "entries",
-                 "postings", "ranges")
+                 "postings", "ranges", "counts")
 
     def __init__(self) -> None:
         self.ids: list[str] = []
@@ -291,6 +300,7 @@ class Shard:
         self.entries: dict[int, tuple] = {}
         self.postings: dict[str, dict[str, list[int]]] = {}
         self.ranges: dict[str, tuple[list[float], list[int], list[int]]] = {}
+        self.counts: dict[tuple[str, ...], Counter] = {}
 
     def _plan(self, names: tuple) -> tuple[tuple, list[list]]:
         """The shape of these field names and the columns its writes append
@@ -310,6 +320,7 @@ class Shard:
         self.entries.clear()
         self.postings.clear()
         self.ranges.clear()
+        self.counts.clear()
 
     def _drop(self, ord_: int) -> None:
         for name in self.shapes[ord_]:
@@ -464,6 +475,27 @@ class Shard:
         pairs.sort()
         column = self.ranges[field] = ([v for v, _ in pairs], [o for _, o in pairs], nan)
         return column
+
+    def count(self, hits: Set[int], *fields: str) -> Counter:
+        """How often each value of the field occurs among the hits, or each
+        tuple of the fields' values when there are several; None stands for
+        a missing value. The count over the whole live set (`hits is live`)
+        reads the columns whole, dead ordinals as None, and is kept in
+        `counts` until the next write: the caller must not change it. Any
+        other set of hits is counted per call."""
+        whole = hits is self.live
+        counts = self.counts.get(fields) if whole else None
+        if counts is not None:
+            return counts
+        values = [
+            repeat(None, len(hits)) if column is None
+            else column if whole else map(column.__getitem__, hits)
+            for column in map(self.columns.get, fields)
+        ]
+        counts = Counter(values[0] if len(values) == 1 else zip(*values))
+        if whole:
+            self.counts[fields] = counts
+        return counts
 
 
 class TimeIndex:
@@ -670,6 +702,21 @@ def field_values(
     return values
 
 
+def _counts(
+    store: Store,
+    indices: str,
+    q: Query,
+    time_range: tuple[int | None, int | None] | None,
+    *fields: str,
+) -> Counter:
+    """`Shard.count` of the fields, summed over the matching shards into a
+    new Counter, so no call changes a shard's kept counts."""
+    counts: Counter = Counter()
+    for _, shard, hits in _matches(store, indices, q, time_range):
+        counts.update(shard.count(hits, *fields))
+    return counts
+
+
 def search(
     store: Store,
     indices: str,
@@ -695,17 +742,22 @@ def aggregate(
     agg: Aggregation,
     time_range: tuple[int | None, int | None] | None = None,
 ):
-    """Exact aggregation over the query's result set, computed afresh per
-    call. The work per document runs in C: a date histogram sorts the
-    timestamps and bisects for the end of each non-empty bucket, a geo grid
-    bins each distinct (lat, lon) pair once, and stats checks the value
-    types once. A time range that covers an index's whole day is not
-    applied to it (see `_matches`)."""
+    """Exact aggregation over the query's result set. The work per document
+    runs in C: a date histogram sorts the timestamps and bisects for the end
+    of each non-empty bucket, a geo grid bins each distinct (lat, lon) pair
+    once, and stats checks the value types once. A time range that covers
+    an index's whole day is not applied to it (see `_matches`).
+
+    Terms and geo grid sum per-shard counts (`Shard.count`). A shard whose
+    every live document matches, as under `MatchAll` or a range covering
+    its day, is counted on first use and its counts are kept until its next
+    write; any other shard's hits are counted per call. A geo grid's
+    coordinates must be finite ints or floats, and each distinct pair is
+    checked once as it is binned; anything else is an AggregationError."""
     if isinstance(agg, TermsAgg):
         if agg.top_n < 1:
             raise AggregationError("top_n must be >= 1")
-        (values,) = field_values(store, indices, q, time_range, agg.field)
-        counts = Counter(values)
+        counts = _counts(store, indices, q, time_range, agg.field)
         counts.pop(None, None)
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
         return ranked[: agg.top_n]
@@ -742,12 +794,19 @@ def aggregate(
         cell = agg.cell_degrees
         if cell <= 0:
             raise AggregationError("cell_degrees must be positive")
-        lats, lons = field_values(store, indices, q, time_range, "geo_lat", "geo_lon")
         cells: dict[tuple[int, int], int] = {}
-        for (lat, lon), n in Counter(zip(lats, lons)).items():
+        for (lat, lon), n in _counts(store, indices, q, time_range, "geo_lat", "geo_lon").items():
             if lat is None or lon is None:
                 continue
-            key = (math.floor(lat / cell), math.floor(lon / cell))
+            for field, value in (("geo_lat", lat), ("geo_lon", lon)):
+                # A bool is neither an int nor a float here; NaN fails both bounds.
+                if type(value) not in (int, float) or not -math.inf < value < math.inf:
+                    raise AggregationError(
+                        f"geo_grid on non-numeric or non-finite field {field!r}")
+            try:
+                key = (math.floor(lat / cell), math.floor(lon / cell))
+            except OverflowError:  # a finite value over a cell too small for it
+                raise AggregationError(f"geo_grid cells of {cell} degrees overflow") from None
             cells[key] = cells.get(key, 0) + n
         # Count descending, then cell ascending: a stable sort by count of
         # the cells in order ranks them in C.
@@ -847,11 +906,14 @@ def _segment_lines(path: str) -> Iterator[bytes]:
         raise ValueError("truncated segment")
 
 
-def _column_line(line: bytes) -> list:
+def _column_line(line: bytes, memos: dict, key: str) -> list:
     """A segment's value line as a list, a dictionary line's equal strings as
-    one object. A damaged line raises ValueError, IndexError or TypeError."""
+    one object. A dictionary line gives its field a memo (`Shard.memos`), so
+    the next save of the shard writes the field as a dictionary again. A
+    damaged line raises ValueError, IndexError or TypeError."""
     values = json.loads(line)
     if type(values) is dict:
+        memos[key] = {}
         distinct, at = values.get("d"), values.get("i")
         # Indexing refuses a position past the end or not an int, but not a
         # negative one or a bool; only a line that spells a bool is scanned.
@@ -871,7 +933,8 @@ def _load_segment(shard: Shard, path: str) -> None:
     lines = _segment_lines(path)
     for header in lines:
         keys, ids = json.loads(header)
-        shard.extend(tuple(keys), ids, [_column_line(next(lines)) for _ in keys])
+        shard.extend(tuple(keys), ids, [_column_line(next(lines), shard.memos, key)
+                                        for key in keys])
 
 
 def _load_index(path: str, name: str) -> TimeIndex:

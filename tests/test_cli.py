@@ -323,6 +323,47 @@ class TestQueryAndAgg:
         assert code == 1
         assert stderr.startswith("error: stats on non-numeric field 'status'")
 
+    @pytest.mark.parametrize(
+        "lat,lon,cell,message",
+        [
+            ("12", 5.0, 1, "geo_grid on non-numeric or non-finite field 'geo_lat'"),
+            (float("inf"), 5.0, 1, "geo_grid on non-numeric or non-finite field 'geo_lat'"),
+            (float("nan"), 5.0, 1, "geo_grid on non-numeric or non-finite field 'geo_lat'"),
+            (True, 5.0, 1, "geo_grid on non-numeric or non-finite field 'geo_lat'"),
+            (12.5, float("-inf"), 1, "geo_grid on non-numeric or non-finite field 'geo_lon'"),
+            (12.5, "5", 1, "geo_grid on non-numeric or non-finite field 'geo_lon'"),
+            (1e308, 5.0, 0.5, "geo_grid cells of 0.5 degrees overflow"),
+            (10**400, 5.0, 1, "geo_grid cells of 1.0 degrees overflow"),
+        ],
+        ids=["text", "inf", "nan", "bool", "lon-inf", "lon-text", "overflow", "huge-int"],
+    )
+    def test_geo_grid_over_a_bad_coordinate_is_usage_error(
+        self, tmp_path, capsys, lat, lon, cell, message
+    ):
+        name = "storm-frontend-2024.03.01"
+        ts = parse_date_ms("2024-03-01")
+        store = IX.Store()
+        IX.index_documents(store, [
+            Document("a", {"@timestamp": ts, "geo_lat": lat, "geo_lon": lon}, name),
+            Document("b", {"@timestamp": ts, "geo_lat": 1.5, "geo_lon": 2.5}, name),
+        ])
+        IX.save_store(store, str(tmp_path))
+        for agg in ({"geo_grid": {"cell_degrees": cell}}, {"terms": {"field": "geo_lat"}}):
+            code, stdout, stderr = run(capsys, "agg", "--store", str(tmp_path),
+                                       "--index", "storm-*", "--agg", json.dumps(agg))
+            if "geo_grid" in agg:
+                assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+            else:  # the store holds the value as written
+                assert code == 0 and stdout.count("\n") == 3
+
+        IX.index_document(store, Document("a", {"@timestamp": ts, "geo_lat": 12.5,
+                                                "geo_lon": 5.0}, name))
+        IX.save_store(store, str(tmp_path))
+        code, stdout, _ = run(capsys, "agg", "--store", str(tmp_path), "--index", "storm-*",
+                              "--agg", json.dumps({"geo_grid": {"cell_degrees": 1}}))
+        assert (code, stdout.splitlines()) == (0, ["cell_lat,cell_lon,count", "1.0,2.0,1",
+                                                   "12.0,5.0,1"])
+
     def test_corrupt_or_old_store_is_data_error(self, tmp_path, capsys):
         name = "storm-backend-2024.03.01"
         store = IX.Store()

@@ -904,7 +904,8 @@ def oracle_aggregate(docs, q, agg, time_range=None):
     """The aggregation by a linear scan of the documents `q` matches."""
     hits = oracle_search(docs, q, time_range)
     if isinstance(agg, IX.TermsAgg):
-        counts = Counter(d.fields[agg.field] for d in hits if agg.field in d.fields)
+        counts = Counter(d.fields[agg.field] for d in hits
+                         if d.fields.get(agg.field) is not None)
         return sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[: agg.top_n]
     if isinstance(agg, IX.DateHistogramAgg):
         span = agg.interval_seconds * 1000
@@ -922,7 +923,8 @@ def oracle_aggregate(docs, q, agg, time_range=None):
     cell = agg.cell_degrees
     cells = Counter(
         (math.floor(d.fields["geo_lat"] / cell), math.floor(d.fields["geo_lon"] / cell))
-        for d in hits if "geo_lat" in d.fields and "geo_lon" in d.fields)
+        for d in hits
+        if d.fields.get("geo_lat") is not None and d.fields.get("geo_lon") is not None)
     ranked = sorted(cells.items(), key=lambda kv: (-kv[1], kv[0]))
     return [(la * cell, lo * cell, n) for (la, lo), n in ranked]
 
@@ -1007,3 +1009,53 @@ class TestAggregationOracle:
                         continue
                     got = IX.aggregate(store, "storm-agg-*", q, agg, time_range)
                     assert got == want, (q, time_range, agg)
+
+    def test_kept_counts_follow_every_write(self):
+        """Terms and geo grids asked twice, over whole shards (kept counts)
+        and partial hit sets, equal a linear scan before and after each
+        kind of write."""
+        rng = random.Random(43)
+        aggs = (IX.TermsAgg("status", 2), IX.TermsAgg("status", 5),
+                IX.GeoGridAgg(1.0), IX.GeoGridAgg(10.0))
+        live = {}
+        store = IX.Store()
+
+        def write(docs):
+            live.update((doc.id, doc) for doc in docs)
+            IX.index_documents(store, docs)
+
+        def check():
+            docs = list(live.values())
+            for q in (IX.MatchAll(), IX.Term("status", "WARN")):
+                for time_range in (None, (-DAY_MS, 2 * DAY_MS), (-DAY_MS // 2, DAY_MS // 3)):
+                    for agg in aggs:
+                        want = oracle_aggregate(docs, q, agg, time_range)
+                        for _ in range(2):
+                            got = IX.aggregate(store, "storm-agg-*", q, agg, time_range)
+                            assert got == want, (q, time_range, agg)
+            assert all(index.shards[0].counts for index in store.indices.values())
+
+        def day_doc(id_, name):
+            start = IX._day_bounds(name)[0] if name != self.ARCHIVE else -3 * DAY_MS
+            span = DAY_MS if name != self.ARCHIVE else 6 * DAY_MS
+            return self.random_doc(rng, id_, name, start + rng.randrange(span))
+
+        names = (self.BEFORE, self.AFTER, self.ARCHIVE)
+        write([day_doc(f"d{i:04d}", names[i % 3]) for i in range(300)])
+        check()
+        replaced = rng.sample(sorted(live), 60)
+        write([day_doc(id_, live[id_].index_name) for id_ in replaced])
+        check()
+        ts = 1000
+        write([
+            *(day_doc(f"n{i:04d}", names[i % 3]) for i in range(30)),
+            Document("no-fields", {"@timestamp": ts}, self.AFTER),
+            Document("null-status", {"@timestamp": ts, "status": None}, self.AFTER),
+            Document("null-lat", {"@timestamp": ts, "geo_lat": None, "geo_lon": 1.5}, self.AFTER),
+            Document("null-lon", {"@timestamp": ts, "geo_lat": 2.5, "geo_lon": None}, self.AFTER),
+            Document("null-both", {"@timestamp": ts, "status": None, "geo_lat": None,
+                                   "geo_lon": None}, self.ARCHIVE),
+        ])
+        check()
+        write([day_doc(f"x{i:04d}", "storm-agg-1970.01.02") for i in range(40)])
+        check()
