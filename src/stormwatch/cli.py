@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -410,6 +411,8 @@ def cmd_report(args) -> int:
             raise UsageError(f"{name} must be >= 1")
     if args.cell <= 0:
         raise UsageError("cell_degrees must be positive")
+    if not math.isfinite(args.cell):
+        raise UsageError("cell_degrees must be finite")
     time_range = _time_range(args)
     store = index_store.load_store(args.store, time_range=time_range)
     os.makedirs(args.out, exist_ok=True)

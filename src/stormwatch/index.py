@@ -27,12 +27,14 @@ the store's own record type; the pipeline builds them, and this module
 imports no sibling.
 
 Snapshots persist one directory per index: a manifest plus the segments it
-lists. A segment is a zlib stream of column blocks (`_write_segment`) in
-which a column's repeated strings are written once, as a dictionary.
-Loading appends each block's columns to the shard in order (`Shard.extend`),
-so a loaded column keeps one object per distinct string of its block too.
-The manifest is the commit point of a save; `index_names` lists the indices
-on disk by their manifests alone.
+lists. A segment holds one zlib stream per group and field, a column's
+repeated strings written once as a dictionary, and a header that places
+each stream (`_write_segment`), as Parquet stores column chunks. A load
+reads each segment once and decodes only the ids (`Shard.attach`); a
+column is decoded on its first read (`Shard.column`), so a command decodes
+the columns it uses, and a loaded column keeps one object per distinct
+string of its group too. The manifest is the commit point of a save;
+`index_names` lists the indices on disk by their manifests alone.
 
 A dated index holds only documents of its own UTC day (`index_documents`
 enforces it), so a time range prunes whole days: `load_store` skips the days
@@ -51,7 +53,9 @@ import math
 import os
 import re
 import shutil
+import sys
 import zlib
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Set
@@ -258,16 +262,20 @@ class Shard:
     A write (`extend`) appends a group of documents that share their field
     names, each at the next ordinal: `ids[o]` is the document's id,
     `shapes[o]` its field names in their order (one tuple shared by the
-    ordinals that have them), and `columns[field][o]` each field's value,
-    None where the shape lacks the field. `by_id` maps the id of each live
-    document to its ordinal. Replacing a document sets its old ordinal to
-    None in every column, so a column read whole holds live values only.
+    ordinals written or loaded together), and `columns[field][o]` each
+    field's value, None where the shape lacks the field. `by_id` maps the
+    id of each live document to its ordinal. Replacing a document sets its
+    old ordinal to None in every column, so a column read whole holds live
+    values only. A loaded shard (`attach`) keeps each field in `pending`,
+    as compressed segment streams, until `column` first reads it; every
+    read of a field goes through `column`, and a write, a save or a
+    search that builds documents decodes them all first (`fill`).
     `memos` holds, per field that a batch write has seen, the dict through
     which `index_documents` passes the field's repeated strings so that
     the column keeps one object per distinct value, or None for a field
     whose values are not such strings; a save writes the fields that have
     a memo as dictionaries (`_write_segment`), and a load gives an empty
-    memo to each field that arrives as a dictionary line.
+    memo to each field that arrives as a dictionary.
 
     A write drops everything built from the columns. The first query that
     reads a field builds its index from the field's column: `postings` for
@@ -284,13 +292,16 @@ class Shard:
     documents.
     """
 
-    __slots__ = ("ids", "shapes", "columns", "by_id", "memos", "live", "plans", "entries",
-                 "postings", "ranges", "counts")
+    __slots__ = ("ids", "shapes", "columns", "pending", "by_id", "memos", "live", "plans",
+                 "entries", "postings", "ranges", "counts")
 
     def __init__(self) -> None:
         self.ids: list[str] = []
         self.shapes: list[tuple[str, ...]] = []
         self.columns: dict[str, list] = {}
+        # Per field still in a segment's streams: (index name, first ordinal,
+        # end ordinal, stream, position width) per group (see `attach`).
+        self.pending: dict[str, list[tuple]] = {}
         self.by_id: dict[str, int] = {}
         self.memos: dict[str, dict[str, str] | None] = {}
         self.live: frozenset[int] | None = None
@@ -331,10 +342,11 @@ class Shard:
         list of values per name, each in `ids` order. A document replaces
         the one stored with its id. Ids that repeat within the group, or a
         list whose length differs from the ids', are a ValueError that
-        leaves the shard as it was."""
+        leaves the shard as it was. Every pending column is decoded first."""
         n = len(ids)
         if any(len(column) != n for column in values):
             raise ValueError("a column's length differs from its ids'")
+        self.fill()
         start = len(self.ids)
         ords = dict(zip(ids, range(start, start + n)))
         if len(ords) != n:
@@ -349,6 +361,57 @@ class Shard:
         by_id.update(ords)
         for column, group in zip(columns, chain(values, repeat([None] * n))):
             column.extend(group)
+
+    def attach(self, source: str, names: tuple, ids: list[str], streams: list[tuple]) -> None:
+        """Append a loaded group as `extend` does, but with each name's values
+        still a segment stream, given as (compressed bytes, position width or
+        None) and decoded when the column is first read (`column`). `source`
+        names the index in a corrupt-snapshot error. Only a load calls it,
+        on a shard whose columns are all pending."""
+        n = len(ids)
+        start = len(self.ids)
+        ords = dict(zip(ids, range(start, start + n)))
+        if len(ords) != n:
+            raise ValueError("ids repeat within a group")
+        self.ids.extend(ids)
+        self.shapes.extend(repeat(names, n))
+        # A replaced document's ordinal leaves `by_id`; `column` sets it to
+        # None when it decodes the column.
+        self.by_id.update(ords)
+        for name, (stream, width) in zip(names, streams, strict=True):
+            self.pending.setdefault(name, []).append((source, start, start + n, stream, width))
+            if width is not None:  # a dictionary: the next save writes one again
+                self.memos[name] = {}
+
+    def column(self, field: str) -> list | None:
+        """The field's column, or None when no document has the field. A
+        pending column is decoded from its streams on this first read, its
+        replaced ordinals set to None, and its compressed bytes dropped; a
+        damaged stream is a StoreError that leaves it pending."""
+        parts = self.pending.get(field)
+        if parts is None:
+            return self.columns.get(field)
+        column = [None] * len(self.ids)
+        for source, start, end, stream, width in parts:
+            try:
+                values = _decode_stream(stream, width)
+                if len(values) != end - start:
+                    raise ValueError("a column's length differs from its ids'")
+            except (zlib.error, ValueError, IndexError) as exc:
+                raise StoreError(
+                    f"snapshot corrupt for {source}: column {field!r}: {exc!r}") from exc
+            column[start:end] = values
+        if len(self.by_id) < len(column):
+            for ord_ in set(range(len(column))).difference(self.by_id.values()):
+                column[ord_] = None
+        self.columns[field] = column
+        del self.pending[field]
+        return column
+
+    def fill(self) -> None:
+        """Decode every pending column (see `column`)."""
+        for field in [*self.pending]:
+            self.column(field)
 
     def _live(self) -> frozenset[int]:
         if self.live is None:
@@ -386,6 +449,7 @@ class Shard:
         time the hit is asked for."""
         entries = self.entries
         if len(entries) < len(self.by_id):  # else every live document is built
+            self.fill()
             ids, columns = self.ids, self.columns
             for ord_ in hits - entries.keys():
                 fields = {name: columns[name][ord_] for name in self.shapes[ord_]}
@@ -447,7 +511,7 @@ class Shard:
             return terms
         terms = self.postings[field] = {}
         keyword = field in KEYWORD_FIELDS
-        for ord_, value in enumerate(self.columns.get(field, ())):
+        for ord_, value in enumerate(self.column(field) or ()):
             if type(value) is not str:
                 continue
             for term in (value,) if keyword else set(tokenize(value)):
@@ -466,7 +530,7 @@ class Shard:
             return column
         pairs: list[tuple[float, int]] = []
         nan: list[int] = []
-        for ord_, value in enumerate(self.columns.get(field, ())):
+        for ord_, value in enumerate(self.column(field) or ()):
             if type(value) is int or type(value) is float:
                 if value == value:
                     pairs.append((float(value), ord_))
@@ -482,7 +546,8 @@ class Shard:
         a missing value. The count over the whole live set (`hits is live`)
         reads the columns whole, dead ordinals as None, and is kept in
         `counts` until the next write: the caller must not change it. Any
-        other set of hits is counted per call."""
+        other set of hits is counted per call. A list or object value, which
+        does not hash, is an AggregationError that names its field."""
         whole = hits is self.live
         counts = self.counts.get(fields) if whole else None
         if counts is not None:
@@ -490,9 +555,16 @@ class Shard:
         values = [
             repeat(None, len(hits)) if column is None
             else column if whole else map(column.__getitem__, hits)
-            for column in map(self.columns.get, fields)
+            for column in map(self.column, fields)
         ]
-        counts = Counter(values[0] if len(values) == 1 else zip(*values))
+        try:
+            counts = Counter(values[0] if len(values) == 1 else zip(*values))
+        except TypeError:
+            if len(fields) > 1:  # the count of the field that holds it raises
+                for field in fields:
+                    self.count(hits, field)
+            raise AggregationError(
+                f"cannot count field {fields[0]!r}: it holds a list or object value") from None
         if whole:
             self.counts[fields] = counts
         return counts
@@ -692,7 +764,7 @@ def field_values(
     for _, shard, hits in _matches(store, indices, q, time_range):
         whole = hits is shard.live and len(hits) == len(shard.ids)
         for out, field in zip(values, fields):
-            column = shard.columns.get(field)
+            column = shard.column(field)
             if column is None:
                 out.extend(repeat(None, len(hits)))
             elif whole:
@@ -794,6 +866,8 @@ def aggregate(
         cell = agg.cell_degrees
         if cell <= 0:
             raise AggregationError("cell_degrees must be positive")
+        if not math.isfinite(cell):
+            raise AggregationError("cell_degrees must be finite")
         cells: dict[tuple[int, int], int] = {}
         for (lat, lon), n in _counts(store, indices, q, time_range, "geo_lat", "geo_lon").items():
             if lat is None or lon is None:
@@ -836,14 +910,18 @@ def delete_index(store: Store, name: str) -> None:
 # ---------------------------------------------------------------------------
 # Snapshots
 
-# The manifest's `format`; the docs.jsonl layout that preceded it had none.
-# Format 2, the same layout without dictionary lines, still loads.
-SNAPSHOT_FORMAT = 3
+# The manifest's `format`. Formats 2 and 3 (one zlib stream of JSON lines per
+# segment) and the docs.jsonl layout before them (no `format`) are not read.
+SNAPSHOT_FORMAT = 4
 _MANIFEST = "manifest.json"
 _MANIFEST_TMP = "manifest.json.tmp"
-# A save encodes and compresses one block of this many documents at a time.
+# A save groups the documents of one block of this many at a time.
 _BLOCK_DOCS = 4096
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# The array type code of each width, in bytes, that a dictionary stream's
+# positions may have; they are stored little-endian.
+_WIDTH_CODES = {1: "B", 2: "H", 4: "I"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def index_names(root: str) -> list[str]:
@@ -858,83 +936,114 @@ def index_names(root: str) -> list[str]:
 
 
 def _write_segment(shard: Shard, path: str) -> None:
-    """Write the shard's documents as one zlib stream of column blocks, fsynced.
+    """Write the shard's live documents as a segment, fsynced: per group,
+    one zlib stream (level 1) of its ids and one per field, then a header
+    that gives each stream's place.
 
-    A block holds up to `_BLOCK_DOCS` documents in ordinal order, grouped by
-    their shapes. Each group is a JSON line `[keys, ids]` with the keys
-    sorted, then one line per key holding that field's values in `ids`
-    order: a dictionary `{"d": distinct values, "i": position per document}`
-    when the field has a memo (`Shard.memos`) and its values in the group
-    are all strings, at most half of them distinct; else a JSON array.
+    A group is the documents of one shape within a block of up to
+    `_BLOCK_DOCS` documents in ordinal order. Its ids stream is the JSON
+    array of its ids. Each key of the shape, in sorted order, has a stream
+    of that field's values in `ids` order: when the field has a memo
+    (`Shard.memos`) and its values in the group are all strings, at most
+    half of them distinct, a dictionary (the JSON array of the distinct
+    values, a newline, and each document's position among them as an
+    unsigned int of 1, 2 or 4 bytes, the fewest that hold every position);
+    else the JSON array of the values. The header, a JSON array with one
+    `{"keys", "ids", "columns"}` per group, gives each stream as
+    `[offset, length]` and a dictionary's as `[offset, length, width]`, and
+    the file's last 8 bytes give the header's offset, little-endian.
     """
+    shard.fill()
     ords = sorted(shard.by_id.values())
     shapes, columns, memos = shard.shapes, shard.columns, shard.memos
-    deflate = zlib.compressobj(1)
+    header: list[dict] = []
     with open(path, "wb") as handle:
+
+        def put(data: bytes, *width: int) -> list[int]:
+            offset = handle.tell()
+            return [offset, handle.write(zlib.compress(data, 1)), *width]
+
         for start in range(0, len(ords), _BLOCK_DOCS):
             groups: dict[tuple, list[int]] = {}
             for ord_ in ords[start:start + _BLOCK_DOCS]:
                 groups.setdefault(shapes[ord_], []).append(ord_)
             for names, group in groups.items():
                 keys = sorted(names)
-                lines = [[keys, [*map(shard.ids.__getitem__, group)]]]
+                ids = _encode([*map(shard.ids.__getitem__, group)]).encode()
+                spans: list[list[int]] = []
+                header.append({"keys": keys, "ids": put(ids), "columns": spans})
                 for key in keys:
                     values = [*map(columns[key].__getitem__, group)]
-                    if memos.get(key) is not None and set(map(type, values)) == _STRINGS:
-                        distinct = [*dict.fromkeys(values)]
-                        if 2 * len(distinct) <= len(values):
-                            where = dict(zip(distinct, count()))
-                            values = {"d": distinct, "i": [*map(where.__getitem__, values)]}
-                    lines.append(values)
-                for line in lines:
-                    handle.write(deflate.compress(f"{_encode(line)}\n".encode("utf-8")))
-        handle.write(deflate.flush())
+                    dictionary = _dictionary(values) if memos.get(key) is not None else None
+                    spans.append(put(*dictionary) if dictionary else put(_encode(values).encode()))
+        handle.write(_encode(header).encode() + handle.tell().to_bytes(8, "little"))
         handle.flush()
         os.fsync(handle.fileno())
 
 
-def _segment_lines(path: str) -> Iterator[bytes]:
-    """The JSON lines of a segment, inflated a chunk at a time."""
-    inflate = zlib.decompressobj()
-    tail = b""
+def _dictionary(values: list) -> tuple[bytes, int] | None:
+    """The values as a dictionary stream's bytes, with the width of its
+    positions (see `_write_segment`), or None unless they are all strings,
+    at most half of them distinct."""
+    if set(map(type, values)) != _STRINGS:
+        return None
+    distinct = [*dict.fromkeys(values)]
+    if 2 * len(distinct) > len(values):
+        return None
+    width = 1 if len(distinct) <= 1 << 8 else 2 if len(distinct) <= 1 << 16 else 4
+    where = dict(zip(distinct, count()))
+    positions = array(_WIDTH_CODES[width], map(where.__getitem__, values))
+    if _BIG_ENDIAN:
+        positions.byteswap()
+    return b"%s\n%s" % (_encode(distinct).encode(), positions.tobytes()), width
+
+
+def _decode_stream(stream: bytes, width: int | None) -> list:
+    """A column stream's values (see `_write_segment`), a dictionary's equal
+    strings as one object. A damaged stream raises zlib.error, ValueError or
+    IndexError."""
+    raw = zlib.decompress(stream)
+    if width is None:
+        values = json.loads(raw)
+        if type(values) is not list:
+            raise ValueError("a value stream is not a JSON array")
+        return values
+    text, _, packed = raw.partition(b"\n")
+    distinct = json.loads(text)
+    if type(distinct) is not list:
+        raise ValueError("a dictionary's values are not a JSON array")
+    positions = array(_WIDTH_CODES[width])
+    positions.frombytes(packed)
+    if _BIG_ENDIAN:
+        positions.byteswap()
+    return [*map(distinct.__getitem__, positions)]
+
+
+def _load_segment(shard: Shard, path: str, name: str) -> None:
+    """Append a segment's groups to a shard in the segment's order, reading
+    the file once: each group's ids are decoded now and its columns when
+    first read (`Shard.attach`). A stream that the header places outside
+    the file before the header, or a width that is not 1, 2 or 4, raises
+    ValueError here."""
     with open(path, "rb") as handle:
-        while chunk := handle.read(1 << 16):
-            lines = (tail + inflate.decompress(chunk)).split(b"\n")
-            tail = lines.pop()
-            yield from lines
-    if tail or not inflate.eof:
-        raise ValueError("truncated segment")
-
-
-def _column_line(line: bytes, memos: dict, key: str) -> list:
-    """A segment's value line as a list, a dictionary line's equal strings as
-    one object. A dictionary line gives its field a memo (`Shard.memos`), so
-    the next save of the shard writes the field as a dictionary again. A
-    damaged line raises ValueError, IndexError or TypeError."""
-    values = json.loads(line)
-    if type(values) is dict:
-        memos[key] = {}
-        distinct, at = values.get("d"), values.get("i")
-        # Indexing refuses a position past the end or not an int, but not a
-        # negative one or a bool; only a line that spells a bool is scanned.
-        if (len(values) != 2 or type(distinct) is not list or type(at) is not list
-                or (at and min(at) < 0)
-                or ((b"true" in line or b"false" in line)
-                    and not {int}.issuperset(map(type, at)))):
-            raise ValueError("a damaged dictionary line")
-        values = [*map(distinct.__getitem__, at)]
-    if type(values) is not list:
-        raise ValueError("a value line is neither an array nor a dictionary")
-    return values
-
-
-def _load_segment(shard: Shard, path: str) -> None:
-    """Append a segment's groups to a shard, in the segment's order."""
-    lines = _segment_lines(path)
-    for header in lines:
-        keys, ids = json.loads(header)
-        shard.extend(tuple(keys), ids, [_column_line(next(lines), shard.memos, key)
-                                        for key in keys])
+        data = handle.read()
+    end = int.from_bytes(data[-8:], "little")
+    if end > len(data) - 8:
+        raise ValueError(f"the header offset {end} lies past the end of the segment")
+    for group in json.loads(data[end:-8]):
+        streams = []
+        for span in (group["ids"], *group["columns"]):
+            offset, length, *width = span
+            if (type(offset) is not int or type(length) is not int
+                    or not 0 <= offset <= offset + length <= end
+                    or width not in ([], [1], [2], [4])):
+                raise ValueError(f"a stream outside the segment: {span!r}")
+            streams.append((data[offset:offset + length], *(width or [None])))
+        (ids, _), *columns = streams
+        ids = json.loads(zlib.decompress(ids))
+        if type(ids) is not list or type(group["keys"]) is not list:
+            raise ValueError("a group's ids or keys are not a JSON array")
+        shard.attach(name, tuple(group["keys"]), ids, columns)
 
 
 def _load_index(path: str, name: str) -> TimeIndex:
@@ -944,15 +1053,15 @@ def _load_index(path: str, name: str) -> TimeIndex:
             manifest = json.load(handle)
         if type(manifest) is not dict:
             raise ValueError("the manifest is not a JSON object")
-        if manifest.get("format") not in (2, SNAPSHOT_FORMAT):
+        if manifest.get("format") != SNAPSHOT_FORMAT:
             raise StoreError(
-                f"{name}: not a format-2 or format-{SNAPSHOT_FORMAT} snapshot (the older"
-                " docs.jsonl layout is not read); re-ingest its logs into a fresh store"
+                f"{name}: not a format-{SNAPSHOT_FORMAT} snapshot (formats 2 and 3 and the"
+                " older docs.jsonl layout are not read); re-ingest its logs into a fresh store"
             )
         for segment in manifest["segments"]:
-            _load_segment(index.shards[0], os.path.join(path, segment))
+            _load_segment(index.shards[0], os.path.join(path, segment), name)
         doc_count = int(manifest["doc_count"])
-    except (zlib.error, ValueError, KeyError, IndexError, TypeError, StopIteration) as exc:
+    except (zlib.error, ValueError, KeyError, IndexError, TypeError) as exc:
         raise StoreError(f"snapshot corrupt for {name}: {exc!r}") from exc
     if index.doc_count != doc_count:
         raise StoreError(f"snapshot corrupt for {name}: doc_count mismatch")

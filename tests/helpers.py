@@ -1,11 +1,14 @@
-"""Shared test utilities: random valid events, random queries, and the
-linear-scan search oracle the index is checked against."""
+"""Shared test utilities: random valid events, random queries, the
+linear-scan search oracle the index is checked against, and a reader and
+writer of snapshot segments that do not use the index module's."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
+import zlib
 from functools import lru_cache
 
 from stormwatch import codecs as C
@@ -296,3 +299,66 @@ def random_query(rng: random.Random, docs, depth: int = 0):
         if tokens and rng.random() < 0.8:
             value = rng.choice(tokens)
     return IX.Term(field, value)
+
+
+# ---------------------------------------------------------------------------
+# Format-4 segments, read and written by hand (docs/formats.md)
+
+
+def read_segment(path) -> list[tuple[list, list, list]]:
+    """A segment's groups as `(keys, ids, lines)`, one line per key: a
+    dictionary stream as `{"d": distinct values, "i": positions, "w": width}`,
+    any other stream as its JSON array."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    end = int.from_bytes(data[-8:], "little")
+
+    def inflate(span):
+        return zlib.decompress(data[span[0]:span[0] + span[1]])
+
+    groups = []
+    for group in json.loads(data[end:-8]):
+        lines = []
+        for span in group["columns"]:
+            raw = inflate(span)
+            if len(span) == 2:
+                lines.append(json.loads(raw))
+                continue
+            text, _, packed = raw.partition(b"\n")
+            width = span[2]
+            lines.append({"d": json.loads(text), "w": width, "i": [
+                int.from_bytes(packed[at:at + width], "little")
+                for at in range(0, len(packed), width)]})
+        groups.append((group["keys"], json.loads(inflate(group["ids"])), lines))
+    return groups
+
+
+def write_segment(path, groups, header_offset=None) -> None:
+    """Write `(keys, ids, lines)` groups as a segment at `path` (a
+    pathlib.Path). A line `{"d", "i", "w"}` is a dictionary stream with `"i"`
+    packed `"w"` bytes to a position, a line `(inflated bytes, width)` a
+    dictionary stream of those bytes, and a line of bytes a plain stream of
+    them; any other line is its JSON array. `header_offset` replaces the
+    header's true offset in the last 8 bytes."""
+    out = bytearray()
+
+    def put(raw, *width):
+        stream = zlib.compress(raw)
+        out.extend(stream)
+        return [len(out) - len(stream), len(stream), *width]
+
+    header = []
+    for keys, ids, lines in groups:
+        entry = {"keys": keys, "ids": put(json.dumps(ids).encode()), "columns": []}
+        for line in lines:
+            if isinstance(line, (bytes, tuple)):
+                entry["columns"].append(put(*line) if isinstance(line, tuple) else put(line))
+            elif isinstance(line, dict) and "w" in line:
+                packed = b"".join(p.to_bytes(line["w"], "little") for p in line["i"])
+                entry["columns"].append(
+                    put(json.dumps(line["d"]).encode() + b"\n" + packed, line["w"]))
+            else:
+                entry["columns"].append(put(json.dumps(line).encode()))
+        header.append(entry)
+    offset = len(out) if header_offset is None else header_offset
+    path.write_bytes(bytes(out) + json.dumps(header).encode() + offset.to_bytes(8, "little"))

@@ -1,6 +1,6 @@
 """The batch write: `index_documents`, the `cli.ingest` loop that calls it
 once per shipped batch, and the strings it shares within a column, which a
-save writes as dictionary lines and a load shares again."""
+save writes as dictionary streams and a load shares again."""
 
 import io
 import json
@@ -9,6 +9,7 @@ import os
 import pytest
 
 from conftest import corpus_paths
+from helpers import read_segment
 from stormwatch import cli, pipeline, shipper
 from stormwatch import index as IX
 from stormwatch.pipeline import Document
@@ -20,7 +21,7 @@ BASE_TS = 1709251200000
 MIXED = [1, 1.0, True, -0.0, 0.0, None, ["xy", 1], "xy"]
 
 
-# Strings a dictionary line must give back with their type and text.
+# Strings a dictionary stream must give back with their type and text.
 TEXTS = ["", "1", "null", "naïve Ωmega 東京", 'say "hi"', "two\nlines"]
 
 
@@ -43,15 +44,15 @@ def stored(store):
 
 
 def value_lines(root):
-    """The decoded value lines of every segment under `root`, headers left
-    out: a dictionary line as its JSON object, a plain one as its array."""
+    """The decoded value streams of every segment under `root`, ids left
+    out: a dictionary as `{"d", "i", "w"}`, a plain stream as its array
+    (`helpers.read_segment`)."""
     found = []
     for name in os.listdir(root):
         for leaf in os.listdir(os.path.join(root, name)):
             if leaf.endswith(".seg"):
-                lines = IX._segment_lines(os.path.join(root, name, leaf))
-                for header in lines:
-                    found += [json.loads(next(lines)) for _ in json.loads(header)[0]]
+                for _keys, _ids, lines in read_segment(os.path.join(root, name, leaf)):
+                    found += lines
     return found
 
 
@@ -203,8 +204,8 @@ class TestSharedStrings:
 
         lines = value_lines(str(tmp_path))
         dictionaries = [line for line in lines if type(line) is dict]
-        assert {"d": TEXTS, "i": list(range(len(TEXTS))) * 4} in dictionaries
-        assert {"d": ["xy"], "i": [0] * 16} in dictionaries
+        assert {"d": TEXTS, "i": list(range(len(TEXTS))) * 4, "w": 1} in dictionaries
+        assert {"d": ["xy"], "i": [0] * 16, "w": 1} in dictionaries
         assert [*map(repr, MIXED), *["'xy'"] * 8] in [list(map(repr, line)) for line in lines]
         loaded = IX.load_store(str(tmp_path))
         got, want = stored(loaded), {d.id: d.fields for d in batch}
@@ -230,14 +231,15 @@ class TestSharedStrings:
         IX.index_documents(appended, later)
         memos = appended.indices[NAME].shards[0].memos
         assert memos["status"] is not None and memos["port"] is not None
-        assert memos["host"] == {}  # given by its dictionary line at load
+        assert memos["host"] == {}  # given by its dictionary stream at load
         IX.save_store(appended, root)
 
         # The loaded `host` column, which the append did not write, is
-        # written as a dictionary line again.
+        # written as a dictionary stream again.
         lines = value_lines(root)
-        assert {"d": ["ERROR"], "i": [0] * 6} in lines
-        assert [line for line in lines if "se01" in str(line)] == [{"d": ["se01"], "i": [0] * 8}]
+        assert {"d": ["ERROR"], "i": [0] * 6, "w": 1} in lines
+        assert [line for line in lines if "se01" in str(line)] == [
+            {"d": ["se01"], "i": [0] * 8, "w": 1}]
         cold = IX.Store()
         IX.index_documents(cold, first + later)
         IX.save_store(cold, str(tmp_path / "cold"))

@@ -7,12 +7,12 @@ import pkgutil
 import random
 import subprocess
 import sys
-import zlib
 
 import pytest
 
 import stormwatch
 from conftest import corpus_paths
+from helpers import read_segment, write_segment
 from stormwatch import index as IX
 from stormwatch import loggen, metrics
 from stormwatch.cli import main
@@ -364,6 +364,47 @@ class TestQueryAndAgg:
         assert (code, stdout.splitlines()) == (0, ["cell_lat,cell_lon,count", "1.0,2.0,1",
                                                    "12.0,5.0,1"])
 
+    def test_a_cell_that_is_not_finite_is_usage_error(self, tmp_path, capsys):
+        name = "storm-frontend-2024.03.01"
+        store = IX.Store()
+        IX.index_document(store, Document("a", {"@timestamp": parse_date_ms("2024-03-01"),
+                                                "geo_lat": 1.5, "geo_lon": 2.5}, name))
+        IX.save_store(store, str(tmp_path / "store"))
+        for cell in ("Infinity", '"inf"', "-Infinity", "NaN", '"nan"'):
+            code, stdout, stderr = run(capsys, "agg", "--store", str(tmp_path / "store"),
+                                       "--index", "storm-*",
+                                       "--agg", f'{{"geo_grid": {{"cell_degrees": {cell}}}}}')
+            message = "positive" if cell.startswith("-") else "finite"
+            assert (code, stdout, stderr) == (1, "", f"error: cell_degrees must be {message}\n")
+        for cell in ("inf", "nan", "Infinity"):
+            out = tmp_path / "report"
+            code, stdout, stderr = run(capsys, "report", "--store", str(tmp_path / "store"),
+                                       "--out", str(out), "--cell", cell)
+            assert (code, stdout, stderr) == (1, "", "error: cell_degrees must be finite\n")
+            assert not out.exists()
+
+    def test_counting_a_list_or_object_value_is_usage_error(self, tmp_path, capsys):
+        name = "storm-frontend-2024.03.01"
+        ts = parse_date_ms("2024-03-01")
+        store = IX.Store()
+        IX.index_documents(store, [
+            Document("a", {"@timestamp": ts, "tags": ["x", "y"], "geo_lat": 1.5,
+                           "geo_lon": {"deg": 2}}, name),
+            Document("b", {"@timestamp": ts + 1, "tags": "z", "geo_lat": 1.5,
+                           "geo_lon": 2.5}, name),
+        ])
+        IX.save_store(store, str(tmp_path))
+        # The whole day's kept counts, then the per-call count of a filtered query.
+        for q in ({"match_all": {}}, {"term": {"field": "id", "value": "a"}}):
+            for agg, field in (({"terms": {"field": "tags"}}, "tags"),
+                               ({"geo_grid": {"cell_degrees": 1}}, "geo_lon")):
+                code, stdout, stderr = run(capsys, "agg", "--store", str(tmp_path),
+                                           "--index", "storm-*", "--q", json.dumps(q),
+                                           "--agg", json.dumps(agg))
+                assert (code, stdout) == (1, ""), (q, agg)
+                assert stderr == (
+                    f"error: cannot count field {field!r}: it holds a list or object value\n")
+
     def test_corrupt_or_old_store_is_data_error(self, tmp_path, capsys):
         name = "storm-backend-2024.03.01"
         store = IX.Store()
@@ -378,12 +419,15 @@ class TestQueryAndAgg:
         assert code == 2
         assert stderr.startswith(f"error: snapshot corrupt for {name}")
 
-        (root / name / "manifest.json").write_text(json.dumps({"name": name, "doc_count": 1}))
-        code, _, stderr = run(capsys, "query", "--store", str(root), "--index", "storm-*")
-        assert code == 2
-        assert stderr.startswith(f"error: {name}: not a format-2 or format-3 snapshot")
+        manifest = {"format": 4, "name": name, "doc_count": 1, "segments": [segment.name]}
+        for old in ({"name": name, "doc_count": 1}, {**manifest, "format": 2},
+                    {**manifest, "format": 3}):
+            (root / name / "manifest.json").write_text(json.dumps(old))
+            code, _, stderr = run(capsys, "query", "--store", str(root), "--index", "storm-*")
+            assert code == 2
+            assert stderr.startswith(f"error: {name}: not a format-4 snapshot")
+            assert "re-ingest its logs into a fresh store" in stderr
 
-        manifest = {"format": 2, "name": name, "doc_count": 1, "segments": [segment.name]}
         for damaged in (json.dumps(manifest)[:-9], json.dumps([manifest]),
                         json.dumps({k: v for k, v in manifest.items() if k != "segments"})):
             (root / name / "manifest.json").write_text(damaged)
@@ -392,38 +436,110 @@ class TestQueryAndAgg:
             assert stderr.startswith(f"error: snapshot corrupt for {name}")
 
     def test_a_damaged_dictionary_line_is_a_corrupt_snapshot(self, tmp_path, capsys):
+        # A dictionary stream: the JSON array of distinct values, a newline,
+        # and one little-endian position per document of the header's width.
         name = "storm-backend-2024.03.01"
         ts = parse_date_ms("2024-03-01")
         root = tmp_path / "store"
         (root / name).mkdir(parents=True)
         (root / name / "manifest.json").write_text(json.dumps(
-            {"format": 3, "name": name, "doc_count": 2, "segments": ["1.seg"]}))
+            {"format": 4, "name": name, "doc_count": 2, "segments": ["1.seg"]}))
 
         def query_with(status_line):
-            lines = [[["@timestamp", "status"], ["a", "b"]], [ts, ts + 1], status_line]
-            text = "".join(json.dumps(line) + "\n" for line in lines)
-            (root / name / "1.seg").write_bytes(zlib.compress(text.encode("utf-8")))
+            write_segment(root / name / "1.seg", [
+                (["@timestamp", "status"], ["a", "b"], [[ts, ts + 1], status_line])])
             return run(capsys, "query", "--store", str(root), "--index", "storm-*",
                        "--format", "json-lines")
 
-        code, out, _ = query_with({"d": ["WARN", "INFO"], "i": [1, 0]})
-        assert code == 0
-        assert [json.loads(line)["fields"]["status"] for line in out.splitlines()] == [
-            "INFO", "WARN"]
+        for width in (1, 2, 4):
+            code, out, _ = query_with({"d": ["WARN", "INFO"], "i": [1, 0], "w": width})
+            assert code == 0
+            assert [json.loads(line)["fields"]["status"] for line in out.splitlines()] == [
+                "INFO", "WARN"]
         for damaged in (
-            {"d": ["INFO"], "i": [0, 1]},  # out of range
-            {"d": ["INFO", "WARN"], "i": [0, -1]},  # would take the last value
-            {"d": ["INFO", "WARN"], "i": [0, True]},  # would take "WARN"
-            {"d": ["INFO", "WARN"], "i": [False, 1]},
-            {"d": ["INFO"], "i": [0, 0.0]}, {"d": ["INFO"], "i": [0, "0"]},
-            {"d": ["INFO"], "i": [0, None]}, {"d": ["INFO"], "i": [0, [0]]},
-            {"d": "II", "i": [0, 1]}, {"d": ["INFO"], "i": {"0": 0, "1": 0}},
-            {"d": ["INFO"]}, {"i": [0, 0]}, {"d": ["INFO"], "i": [0, 0], "n": 2},
-            "II", 2,
+            {"d": ["INFO"], "i": [0, 1], "w": 1},  # out of range
+            {"d": ["INFO", "WARN"], "i": [0, 255], "w": 1},  # the byte a -1 leaves
+            {"d": ["INFO", "WARN"], "i": [0, 1], "w": 3},  # a width that is not 1, 2, 4
+            (b'["INFO","WARN"]\n\x00\x01', 2),  # one 2-byte position for two documents
+            (b'["INFO"]\n\x00\x00\x00', 2),  # a truncated position
+            (b'["INFO"]\n\x00\x00\x00', 1),  # a position too many
+            (b'["INFO"]\n\x00', 1),  # a position too few
+            (b'["INFO"]', 1), (b"\n\x00\x00", 1),  # no positions; no values
+            (b'["INFO"]\n\x00\x00', 0),
+            {"d": "II", "i": [0, 1], "w": 1},  # would take "I" per position
+            {"d": {"0": "INFO"}, "i": [0, 0], "w": 1},
+            b'"II"', b"2", b'["INFO"]', b'["INFO","INFO","INFO"]', b'["INFO",',
         ):
             code, _, stderr = query_with(damaged)
             assert code == 2, damaged
             assert stderr.startswith(f"error: snapshot corrupt for {name}"), damaged
+
+    def test_a_damaged_column_is_found_when_a_command_reads_it(self, tmp_path, capsys):
+        name = "storm-backend-2024.03.01"
+        ts = parse_date_ms("2024-03-01")
+        store = IX.Store()
+        IX.index_documents(store, [
+            Document(f"d{i}", {"@timestamp": ts + i, "status": ["INFO", "WARN"][i % 2],
+                               "message": f"request {i} done"}, name)
+            for i in range(40)])
+        root = tmp_path / "store"
+        IX.save_store(store, str(root))
+        segment = root / name / "1.seg"
+        (keys, _ids, _lines), = read_segment(segment)
+        data = bytearray(segment.read_bytes())
+        header = json.loads(data[int.from_bytes(data[-8:], "little"):-8])
+        offset, length = header[0]["columns"][keys.index("message")]
+        data[offset:offset + length] = bytes(length)  # no longer inflates
+        segment.write_bytes(bytes(data))
+
+        def command(*argv):
+            return run(capsys, *argv, "--store", str(root), "--index", "storm-*")
+
+        code, stdout, _ = command("agg", "--agg", json.dumps({"terms": {"field": "status"}}))
+        assert (code, stdout.splitlines()) == (0, ["value,count", "INFO,20", "WARN,20"])
+        term = {"term": {"field": "message", "value": "request"}}
+        for argv in (("query",), ("agg", "--agg", json.dumps({"terms": {"field": "message"}})),
+                     ("query", "--q", json.dumps(term))):
+            code, _, stderr = command(*argv)
+            assert code == 2, argv
+            assert stderr.startswith(f"error: snapshot corrupt for {name}: column 'message'")
+
+    def test_a_stream_outside_the_segment_is_corrupt_at_load(self, tmp_path, capsys):
+        name = "storm-backend-2024.03.01"
+        ts = parse_date_ms("2024-03-01")
+        root = tmp_path / "store"
+        (root / name).mkdir(parents=True)
+        (root / name / "manifest.json").write_text(json.dumps(
+            {"format": 4, "name": name, "doc_count": 2, "segments": ["1.seg"]}))
+        groups = [(["@timestamp", "status"], ["a", "b"], [[ts, ts + 1], ["INFO", "WARN"]])]
+        segment = root / name / "1.seg"
+
+        def agg_count():
+            histogram = {"date_histogram": {"interval_seconds": 60}}
+            code, _, stderr = run(capsys, "agg", "--store", str(root), "--index", "storm-*",
+                                  "--agg", json.dumps(histogram))
+            return code, stderr
+
+        write_segment(segment, groups)
+        assert agg_count() == (0, "")
+        size = len(segment.read_bytes())
+        for header_offset in (size, size - 7, 1 << 63):  # past the end, into the last 8 bytes
+            write_segment(segment, groups, header_offset=header_offset)
+            code, stderr = agg_count()
+            assert code == 2, header_offset
+            assert stderr.startswith(f"error: snapshot corrupt for {name}"), header_offset
+
+        # A span of a column the command does not read, past the header.
+        write_segment(segment, groups)
+        data = segment.read_bytes()
+        end = int.from_bytes(data[-8:], "little")
+        header = json.loads(data[end:-8])
+        for span in ([end, 1], [end - 1, 2], [-1, 1], [0, -1], [0.0, 1], [0, 1, 8]):
+            header[0]["columns"][1] = span
+            segment.write_bytes(data[:end] + json.dumps(header).encode() + data[-8:])
+            code, stderr = agg_count()
+            assert code == 2, span
+            assert stderr.startswith(f"error: snapshot corrupt for {name}"), span
 
     @pytest.mark.parametrize(
         "agg,message",

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import oracle_search, oracle_tokens, random_query
+from helpers import oracle_search, oracle_tokens, random_query, read_segment
 from stormwatch import index as IX
 from stormwatch import metrics
 from stormwatch.pipeline import Document
@@ -311,6 +311,8 @@ class TestAggregations:
             (IX.DateHistogramAgg(0), "interval_seconds must be >= 1"),
             (IX.DateHistogramAgg(-60), "interval_seconds must be >= 1"),
             (IX.GeoGridAgg(0.0), "cell_degrees must be positive"),
+            (IX.GeoGridAgg(math.inf), "cell_degrees must be finite"),
+            (IX.GeoGridAgg(math.nan), "cell_degrees must be finite"),
         ],
     )
     def test_parameter_out_of_range_errors(self, store_and_docs, agg, message):
@@ -484,10 +486,11 @@ def shard_state(index):
         live = set(shard.by_id.values())
         assert len(live) == len(shard.by_id) and live <= ords
         assert all(shard.ids[o] == doc_id for doc_id, o in shard.by_id.items())
+        entries = shard.hit_entries(live, index.name)  # decodes every pending column
+        assert not shard.pending
         for column in shard.columns.values():
             assert len(column) == len(shard.ids)
             assert all(column[o] is None for o in ords - live)
-        entries = shard.hit_entries(live, index.name)
         for ts, doc_id, name, doc in map(entries.__getitem__, live):
             assert (doc.id, doc.index_name, ts) == (doc_id, name, doc.fields["@timestamp"])
             assert name == index.name
@@ -495,9 +498,10 @@ def shard_state(index):
     return state
 
 
-def write_format_2(path, name, docs):
-    """Write `docs` as a format-2 index by hand under `path`: one segment of
-    one group per shape, every value line a plain JSON array."""
+def write_json_lines_segment(path, name, docs, format_):
+    """Write `docs` by hand under `path` as an index of the format-2 and
+    format-3 layout: one zlib stream of JSON lines, a group line `[keys,
+    ids]` per shape followed by one plain array per key."""
     groups = {}
     for doc in docs:
         groups.setdefault(tuple(doc.fields), []).append(doc)
@@ -510,12 +514,20 @@ def write_format_2(path, name, docs):
     text = "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines)
     (path / "1.seg").write_bytes(zlib.compress(text.encode("utf-8"), 1))
     (path / "manifest.json").write_text(json.dumps({
-        "format": 2, "name": name, "doc_count": len(docs), "segments": ["1.seg"]}))
+        "format": format_, "name": name, "doc_count": len(docs), "segments": ["1.seg"]}))
 
 
-def manifest_format(path):
-    with open(path / "manifest.json", encoding="utf-8") as handle:
-        return json.load(handle)["format"]
+def write_two_segments(path, name, first, later):
+    """Write each batch of documents as its own segment of one index."""
+    path.mkdir()
+    for segment, batch in (("1.seg", first), ("2.seg", later)):
+        part = IX.Store()
+        IX.index_documents(part, batch)
+        IX._write_segment(part.indices[name].shards[0], str(path / segment))
+    doc_count = len({d.id for d in first + later})
+    (path / "manifest.json").write_text(json.dumps({
+        "format": IX.SNAPSHOT_FORMAT, "name": name, "doc_count": doc_count,
+        "segments": ["1.seg", "2.seg"]}))
 
 
 class TestSegments:
@@ -594,56 +606,12 @@ class TestSegments:
         assert sorted(os.listdir(path)) == sorted(["manifest.json", *manifest["segments"]])
         assert not set(manifest["segments"]) & set(committed)
 
-    def test_two_segment_store_of_the_earlier_layout_loads(self, tmp_path):
-        # Saves once routed each index's documents to two shards by a hash
-        # of the id, wrote one segment per shard and a `shard_count` key.
-        docs = make_corpus(n=300, seed=11)
-        path = tmp_path / self.NAME
-        path.mkdir()
-        segments = []
-        for n in range(2):
-            part = IX.Store()
-            for doc in docs[n::2]:
-                IX.index_document(part, doc)
-            segments.append(f"shard-{n}.1.seg")
-            IX._write_segment(part.indices[self.NAME].shards[0], str(path / segments[-1]))
-        (path / "manifest.json").write_text(json.dumps({
-            "format": 2, "name": self.NAME, "shard_count": 2,
-            "doc_count": len(docs), "segments": segments}))
-        loaded = IX.load_store(str(tmp_path))
-        whole = IX.Store()
-        for doc in docs:
-            IX.index_document(whole, doc)
-
-        assert loaded.indices[self.NAME].doc_count == len(docs)
-        for q in (IX.MatchAll(), IX.Term("message", "srmLs done"),
-                  IX.And((IX.Term("status", "ERROR"), IX.Range("mean_ms", min=40)))):
-            assert [d.id for d in IX.search(loaded, "storm-*", q)] == [
-                d.id for d in IX.search(whole, "storm-*", q)]
-            for agg in (IX.TermsAgg("action", 10), IX.StatsAgg("mean_ms"),
-                        IX.DateHistogramAgg(60)):
-                assert IX.aggregate(loaded, "storm-*", q, agg) == (
-                    IX.aggregate(whole, "storm-*", q, agg))
-        IX.index_document(loaded, make_doc(7, status="WARN"))
-        assert loaded.indices[self.NAME].doc_count == len(docs)
-        assert [d.id for d in IX.search(loaded, "storm-*", IX.Term("id", make_doc(7).id))] == [
-            make_doc(7).id]
-
     def test_a_later_segment_replaces_the_ids_it_repeats(self, tmp_path):
         # Segments written per batch repeat an id when a batch is replayed.
         docs = make_corpus(n=300, seed=13)
         later = [make_doc(i, status="REPLAYED", offset=-i) for i in range(100, 200)]
         later += [make_doc(i, status="REPLAYED", offset=i) for i in range(300, 320)]
-        path = tmp_path / self.NAME
-        path.mkdir()
-        for segment, batch in (("1.seg", docs), ("2.seg", later)):
-            part = IX.Store()
-            for doc in batch:
-                IX.index_document(part, doc)
-            IX._write_segment(part.indices[self.NAME].shards[0], str(path / segment))
-        (path / "manifest.json").write_text(json.dumps({
-            "format": 2, "name": self.NAME, "doc_count": 320,
-            "segments": ["1.seg", "2.seg"]}))
+        write_two_segments(tmp_path / self.NAME, self.NAME, docs, later)
         loaded = IX.load_store(str(tmp_path))
         current = list({d.id: d for d in docs + later}.values())
 
@@ -656,57 +624,15 @@ class TestSegments:
             assert [d.id for d in IX.search(loaded, "storm-*", q)] == [
                 d.id for d in oracle_search(current, q)]
 
-    def test_a_format_2_segment_answers_as_before(self, tmp_path):
-        docs = [odd_doc(i) for i in range(300)]
-        write_format_2(tmp_path / self.NAME, self.NAME, docs)
-        loaded = IX.load_store(str(tmp_path))
-        whole = IX.Store()
-        IX.index_documents(whole, docs)
-
-        assert shard_state(loaded.indices[self.NAME]) == shard_state(whole.indices[self.NAME])
-        for q in (IX.MatchAll(), IX.Term("message", "naïve request 12"),
-                  IX.Term("status", 500), IX.Range("mean_ms", min=10, max=60)):
-            assert [d.id for d in IX.search(loaded, "storm-*", q)] == [
-                d.id for d in oracle_search(docs, q)]
-            for agg in (IX.TermsAgg("user_dn", 5), IX.StatsAgg("offset"),
-                        IX.DateHistogramAgg(60), IX.GeoGridAgg(1.0)):
-                assert IX.aggregate(loaded, "storm-*", q, agg) == (
-                    IX.aggregate(whole, "storm-*", q, agg))
-
-    def test_a_store_of_format_2_and_format_3_days(self, tmp_path):
-        day2 = "storm-backend-2024.03.02"
-        old = make_corpus(n=200, seed=19)
-        new = [Document(id=f"new{i:04d}", index_name=day2,
-                        fields={**d.fields, "@timestamp": d.fields["@timestamp"] + 86_400_000})
-               for i, d in enumerate(make_corpus(n=200, seed=23))]
-        write_format_2(tmp_path / self.NAME, self.NAME, old)
-        store = IX.Store()
-        IX.index_documents(store, new)
-        IX.save_store(store, str(tmp_path))
-        assert manifest_format(tmp_path / day2) == IX.SNAPSHOT_FORMAT == 3
-        segment = next((tmp_path / day2).glob("*.seg"))
-        assert any(line.startswith(b'{"d":') for line in IX._segment_lines(str(segment)))
-
-        def assert_answers(current):
-            loaded = IX.load_store(str(tmp_path))
-            for q in (IX.MatchAll(), IX.Term("status", "ERROR"), IX.Term("action", "srmLs"),
-                      IX.Term("message", "srmRm done"), IX.Range("offset", min=50, max=120)):
-                hits = oracle_search(current, q)
-                got = IX.search(loaded, "storm-*", q)
-                assert [(d.id, d.fields) for d in got] == [(d.id, d.fields) for d in hits]
-                counts = Counter(d.fields["action"] for d in hits)
-                want = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
-                assert IX.aggregate(loaded, "storm-*", q, IX.TermsAgg("action", 9)) == want
-
-        assert_answers(old + new)
-        # A write to the format-2 day saves it as format 3.
-        extra = make_doc(500, status="ERROR", action="srmLs", message="late srmLs",
-                         mean_ms=1.5, offset=500)
-        appended = IX.Store(str(tmp_path))
-        IX.index_documents(appended, [extra])
-        IX.save_store(appended, str(tmp_path))
-        assert manifest_format(tmp_path / self.NAME) == 3
-        assert_answers(old + new + [extra])
+    def test_format_2_and_format_3_manifests_are_refused(self, tmp_path):
+        docs = [odd_doc(i) for i in range(30)]
+        for format_ in (2, 3):
+            root = tmp_path / f"format-{format_}"
+            root.mkdir()
+            write_json_lines_segment(root / self.NAME, self.NAME, docs, format_)
+            with pytest.raises(IX.StoreError, match=(
+                    f"{self.NAME}: not a format-4 snapshot.*re-ingest.*fresh store")):
+                IX.load_store(str(root))
 
     def test_old_docs_jsonl_layout_is_refused(self, tmp_path):
         path = tmp_path / self.NAME
@@ -748,6 +674,101 @@ def count_documents(monkeypatch):
 
     monkeypatch.setattr(IX, "Document", counting)
     return built
+
+
+class TestLazyColumns:
+    """A load decodes each group's ids and leaves its columns as compressed
+    streams, decoded on the column's first read."""
+
+    NAME = f"storm-backend-{DAY}"
+
+    def test_a_terms_aggregation_decodes_only_its_field(self, tmp_path, monkeypatch):
+        store = IX.Store()
+        IX.index_documents(store, [odd_doc(i, action=["srmLs", "srmRm"][i % 3 % 2])
+                                   for i in range(5000)])
+        IX.save_store(store, str(tmp_path))
+        decoded = []
+        real = IX._decode_stream
+        monkeypatch.setattr(IX, "_decode_stream",
+                            lambda *args: decoded.append(args) or real(*args))
+        loaded = IX.load_store(str(tmp_path))
+        shard = loaded.indices[self.NAME].shards[0]
+        assert (decoded, shard.columns, shard.memos["action"]) == ([], {}, {})
+        fields = set(shard.pending)
+        agg = IX.TermsAgg("action", 5)
+        want = IX.aggregate(store, "storm-*", IX.MatchAll(), agg)
+        assert IX.aggregate(loaded, "storm-*", IX.MatchAll(), agg) == want == [
+            ("srmLs", 3333), ("srmRm", 1667)]
+        assert list(shard.columns) == ["action"]
+        assert shard.pending.keys() == fields - {"action"}
+        assert len(decoded) == len(read_segment(tmp_path / self.NAME / "1.seg"))
+
+    def test_two_segments_filled_lazily_equal_a_full_read(self, tmp_path):
+        first = [odd_doc(i) for i in range(5000)]
+        later = [odd_doc(i, status="REPLAYED", mean_ms=-1.0) for i in range(4000, 4600)]
+        later += [odd_doc(i, status="LATE", extra=i) for i in range(6000, 6100)]
+        write_two_segments(tmp_path / self.NAME, self.NAME, first, later)
+        # The full read appends each group's decoded columns with
+        # `Shard.extend`, as a load did before columns were read on their own.
+        full = IX.Shard()
+        for segment in ("1.seg", "2.seg"):
+            for keys, ids, lines in read_segment(tmp_path / self.NAME / segment):
+                full.extend(tuple(keys), ids, [
+                    [*map(line["d"].__getitem__, line["i"])] if type(line) is dict else line
+                    for line in lines])
+        whole = IX.Store()
+        whole.indices[self.NAME] = IX.TimeIndex(self.NAME)
+        whole.indices[self.NAME].shards[0] = full
+
+        loaded = IX.load_store(str(tmp_path))
+        shard = loaded.indices[self.NAME].shards[0]
+        assert (shard.ids, shard.shapes, shard.by_id) == (full.ids, full.shapes, full.by_id)
+        assert shard.pending.keys() == full.columns.keys()
+        for q in (IX.Term("status", "REPLAYED"), IX.Range("extra", min=6050),
+                  IX.Term("message", "request 4321"), IX.MatchAll()):
+            got, want = IX.search(loaded, "storm-*", q), IX.search(whole, "storm-*", q)
+            assert [(d.id, repr(d.fields)) for d in got] == [
+                (d.id, repr(d.fields)) for d in want]
+        assert not shard.pending
+        assert {field: repr(column) for field, column in shard.columns.items()} == {
+            field: repr(column) for field, column in full.columns.items()}
+        for agg in (IX.TermsAgg("status", 9), IX.StatsAgg("mean_ms"), IX.GeoGridAgg(1.0)):
+            again = IX.load_store(str(tmp_path))
+            assert repr(IX.aggregate(again, "storm-*", IX.MatchAll(), agg)) == repr(
+                IX.aggregate(whole, "storm-*", IX.MatchAll(), agg))
+
+    def test_a_write_to_a_loaded_day_decodes_every_column_first(self, tmp_path):
+        store = IX.Store()
+        IX.index_documents(store, make_corpus(n=300))
+        IX.save_store(store, str(tmp_path))
+        appended = IX.Store(str(tmp_path))
+        late = [make_doc(7, status="LATE", extra=1.5), make_doc(400, status="INFO")]
+        IX.index_documents(appended, late)
+        IX.index_documents(store, late)
+        shard = appended.indices[self.NAME].shards[0]
+        assert not shard.pending
+        # A dictionary on disk stays one, though the write alone, two
+        # distinct values, would not share them.
+        assert shard.memos["status"] == {"LATE": "LATE", "INFO": "INFO"}
+        assert shard_state(appended.indices[self.NAME]) == shard_state(store.indices[self.NAME])
+
+    def test_a_damaged_stream_fails_each_read_of_its_column(self, tmp_path):
+        store = IX.Store()
+        IX.index_documents(store, [odd_doc(i) for i in range(300)])
+        IX.save_store(store, str(tmp_path))
+        segment = tmp_path / self.NAME / "1.seg"
+        data = bytearray(segment.read_bytes())
+        header = json.loads(data[int.from_bytes(data[-8:], "little"):-8])
+        offset, length = header[0]["columns"][header[0]["keys"].index("offset")]
+        data[offset + 2:offset + length] = bytes(length - 2)
+        segment.write_bytes(bytes(data))
+        loaded = IX.load_store(str(tmp_path))
+        assert IX.aggregate(loaded, "storm-*", IX.MatchAll(), IX.StatsAgg("mean_ms"))["count"]
+        for _ in range(2):
+            with pytest.raises(IX.StoreError, match=(
+                    f"snapshot corrupt for {self.NAME}: column 'offset'")):
+                IX.aggregate(loaded, "storm-*", IX.MatchAll(), IX.StatsAgg("offset"))
+            assert "offset" in loaded.indices[self.NAME].shards[0].pending
 
 
 class TestColumns:
