@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import shutil
 import zlib
 from collections import Counter
 
@@ -633,6 +634,83 @@ class TestSegments:
             with pytest.raises(IX.StoreError, match=(
                     f"{self.NAME}: not a format-4 snapshot.*re-ingest.*fresh store")):
                 IX.load_store(str(root))
+
+    def test_a_format_2_segment_answers_as_before(self, tmp_path):
+        # A format-2 segment is refused; its documents, re-ingested as the
+        # message asks, answer from a format-4 snapshot as an in-memory store.
+        docs = [odd_doc(i) for i in range(300)]
+        (tmp_path / "old").mkdir()
+        write_json_lines_segment(tmp_path / "old" / self.NAME, self.NAME, docs, 2)
+        with pytest.raises(IX.StoreError, match=f"{self.NAME}.*re-ingest"):
+            IX.load_store(str(tmp_path / "old"))
+        fresh = IX.Store()
+        IX.index_documents(fresh, docs)
+        IX.save_store(fresh, str(tmp_path / "new"))
+        loaded = IX.load_store(str(tmp_path / "new"))
+        whole = IX.Store()
+        IX.index_documents(whole, docs)
+
+        for q in (IX.MatchAll(), IX.Term("message", "naïve request 12"),
+                  IX.Term("status", 500), IX.Range("mean_ms", min=10, max=60)):
+            for agg in (IX.TermsAgg("user_dn", 5), IX.StatsAgg("offset"),
+                        IX.DateHistogramAgg(60), IX.GeoGridAgg(1.0)):
+                assert IX.aggregate(loaded, "storm-*", q, agg) == (
+                    IX.aggregate(whole, "storm-*", q, agg))
+            assert [d.id for d in IX.search(loaded, "storm-*", q)] == [
+                d.id for d in oracle_search(docs, q)]
+        assert shard_state(loaded.indices[self.NAME]) == shard_state(whole.indices[self.NAME])
+
+    def test_a_store_of_format_2_and_format_3_days(self, tmp_path):
+        # A store whose older days are format 2 and 3 is refused; once those
+        # days are re-ingested beside its format-4 day, all three answer, and
+        # a write to a re-ingested day keeps it in format 4.
+        day2, day3 = "storm-backend-2024.03.02", "storm-backend-2024.03.03"
+
+        def shifted(docs, name, days):
+            return [Document(id=f"{name[-2:]}-{i:04d}", index_name=name, fields={
+                **d.fields, "@timestamp": d.fields["@timestamp"] + days * 86_400_000})
+                for i, d in enumerate(docs)]
+
+        old = make_corpus(n=200, seed=19)
+        new = shifted(make_corpus(n=200, seed=23), day2, 1)
+        older = shifted(make_corpus(n=150, seed=29), day3, 2)
+        write_json_lines_segment(tmp_path / self.NAME, self.NAME, old, 2)
+        write_json_lines_segment(tmp_path / day3, day3, older, 3)
+        store = IX.Store()
+        IX.index_documents(store, new)
+        IX.save_store(store, str(tmp_path))
+        with pytest.raises(IX.StoreError, match="not a format-4 snapshot.*re-ingest"):
+            IX.load_store(str(tmp_path))
+
+        def manifest_format(name):
+            return json.loads((tmp_path / name / "manifest.json").read_text())["format"]
+
+        def assert_answers(current):
+            loaded = IX.load_store(str(tmp_path))
+            for q in (IX.MatchAll(), IX.Term("status", "ERROR"), IX.Term("action", "srmLs"),
+                      IX.Term("message", "srmRm done"), IX.Range("offset", min=50, max=120)):
+                hits = oracle_search(current, q)
+                counts = Counter(d.fields["action"] for d in hits)
+                want = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
+                assert IX.aggregate(loaded, "storm-*", q, IX.TermsAgg("action", 9)) == want
+                got = IX.search(loaded, "storm-*", q)
+                assert [(d.id, d.fields) for d in got] == [(d.id, d.fields) for d in hits]
+
+        for name in (self.NAME, day3):
+            shutil.rmtree(tmp_path / name)
+        reingest = IX.Store(str(tmp_path))
+        IX.index_documents(reingest, old + older)
+        IX.save_store(reingest, str(tmp_path))
+        assert {manifest_format(n) for n in (self.NAME, day2, day3)} == {IX.SNAPSHOT_FORMAT}
+        assert_answers(old + new + older)
+
+        extra = make_doc(500, status="ERROR", action="srmLs", message="late srmLs",
+                         mean_ms=1.5, offset=500)
+        appended = IX.Store(str(tmp_path))
+        IX.index_documents(appended, [extra])
+        IX.save_store(appended, str(tmp_path))
+        assert manifest_format(self.NAME) == IX.SNAPSHOT_FORMAT
+        assert_answers(old + new + older + [extra])
 
     def test_old_docs_jsonl_layout_is_refused(self, tmp_path):
         path = tmp_path / self.NAME
