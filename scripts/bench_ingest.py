@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Ingest throughput benchmark: generates a mixed corpus once, then times
-`stormwatch.cli.ingest` (ship, parse, index and the per-batch registry
-checkpoint) for a few rounds and reports lines/second.
+`stormwatch.cli.ingest` (ship, parse and index) for a few rounds and
+reports lines/second.
 
 Usage: python scripts/bench_ingest.py [--duration 2160] [--rounds 3]
 """

@@ -128,8 +128,9 @@ def ingest(pipe, store, ship, paths, dead_file) -> dict[str, int]:
     """Ship each path to its end, process every record and index the documents.
 
     Each shipped batch's documents are written with one `index_documents`
-    call, and the shipper's registry is checkpointed after it. Dead letters
-    go to `dead_file` as JSON lines. Returns the shipped, indexed, dead and
+    call. The shipper's registry moves past each batch in memory only: the
+    caller checkpoints it once the store is saved. Dead letters go to
+    `dead_file` as JSON lines. Returns the shipped, indexed, dead and
     dropped record counts.
     """
     from . import pipeline
@@ -153,7 +154,6 @@ def ingest(pipe, store, ship, paths, dead_file) -> dict[str, int]:
                 break
             shipped += len(batch.records)
             indexed += index_store.index_documents(store, documents(batch.records))
-            ship.checkpoint()
     return {"shipped": shipped, "indexed": indexed, "dead": dead,
             "dropped": shipped - indexed - dead}
 
@@ -186,16 +186,18 @@ def _shares(paths: list[str], workers: int, registry) -> list[list[tuple[int, st
     return shares
 
 
-def _ingest_share(pipe, ship, root: str, share: list[tuple[int, str]], dead_file) -> dict:
+def _ingest_share(pipe, ship, root: str, share: list[tuple[int, str]]) -> dict:
     """Run `ingest` over one share into its own store and save that store.
 
     Returns the counts, the names of the indices written, the share's final
-    registry entries and the `perf_counter` at the end of the loop. An
-    exception is returned, not raised, as `error`, with `at`, the position
-    of the path it came from, and no registry entries: the share saved none
-    of its documents.
+    registry entries, its dead letters as `dead` and the `perf_counter` at
+    the end of the loop. An exception is returned, not raised, as `error`,
+    with `at`, the position of the path it came from, and no registry
+    entries or dead letters: the share saved none of its documents.
     """
+    import io
     store = index_store.Store(root=root)
+    dead = io.StringIO()
     at = share[0][0]
 
     def walk():
@@ -203,24 +205,22 @@ def _ingest_share(pipe, ship, root: str, share: list[tuple[int, str]], dead_file
         for at, path in share:
             yield path
 
-    result = {"error": None, "at": None}
     try:
-        result["counts"] = ingest(pipe, store, ship, walk(), dead_file)
-        result["end"] = time.perf_counter()
-        result["indices"] = list(store.indices)
+        counts = ingest(pipe, store, ship, walk(), dead)
+        end = time.perf_counter()
         index_store.save_store(store, root)
     except Exception as exc:
-        result.update(error=exc, at=at)
-    entries = {} if result["error"] else ship.registry.entries
-    result["entries"] = {path: entries[path] for _, path in share if path in entries}
-    return result
+        return {"error": exc, "at": at, "entries": {}, "dead": ""}
+    entries = ship.registry.entries
+    return {"error": None, "counts": counts, "end": end, "indices": list(store.indices),
+            "entries": {path: entries[path] for _, path in share if path in entries},
+            "dead": dead.getvalue()}
 
 
 def _fork_share(pipe, ship, root: str, share: list[tuple[int, str]]) -> tuple[int, int]:
-    """Fork a process that runs `_ingest_share` and sends its result, with
-    its dead letters as `dead`, back over a pipe. Returns the child's pid
-    and the pipe's read end. The child never returns from here."""
-    import io
+    """Fork a process that runs `_ingest_share` and sends its result back
+    over a pipe. Returns the child's pid and the pipe's read end. The child
+    never returns from here."""
     import pickle
     read_fd, write_fd = os.pipe()
     # The CLI starts no threads, so no lock is held across the fork.
@@ -231,9 +231,7 @@ def _fork_share(pipe, ship, root: str, share: list[tuple[int, str]]) -> tuple[in
     code = 1
     try:
         os.close(read_fd)
-        dead = io.StringIO()
-        result = _ingest_share(pipe, ship, root, share, dead)
-        result["dead"] = dead.getvalue()
+        result = _ingest_share(pipe, ship, root, share)
         with os.fdopen(write_fd, "wb") as out:
             pickle.dump(result, out)
         code = 0
@@ -242,14 +240,15 @@ def _fork_share(pipe, ship, root: str, share: list[tuple[int, str]]) -> tuple[in
 
 
 def _reap_share(pid: int, read_fd: int, share: list[tuple[int, str]]) -> dict:
-    """Read a forked share's result to the end of its pipe, then reap it."""
+    """Read a forked share's result to the end of its pipe, then reap it.
+    Only a child that exited 0 sent a whole result; any other one failed."""
     import pickle
     with os.fdopen(read_fd, "rb") as handle:
         data = handle.read()
     _, status = os.waitpid(pid, 0)
-    if data:
-        return pickle.loads(data)
     code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return pickle.loads(data)
     return {"error": RuntimeError(f"ingest worker {pid} exited with status {code}"),
             "at": share[0][0], "entries": {}, "dead": ""}
 
@@ -259,34 +258,32 @@ def _ingest_shares(pipe, ship, root: str, shares, dead_file) -> tuple[dict, set[
     a forked process; returns the summed counts, the indices written and
     the latest loop end.
 
-    Every forked share is reaped, whatever fails, and its dead letters are
-    appended to `dead_file`. When a share was forked or failed, the shares'
-    registry entries are merged over those the run started from and
-    checkpointed, so a failed share's paths keep their start entries and
-    its lines ship again on the next run.
-    The first error in path order is then raised.
+    The run commits once, when every share has saved or failed: it appends
+    the dead letters to `dead_file` and syncs them, then merges the shares'
+    entries over the start entries and checkpoints them. A killed run, and
+    a failed share, which gives back no entries, leave their lines to ship
+    again; replayed lines dedupe on write. The first error in path order is
+    then raised.
     """
     from . import shipper
     sys.stdout.flush()
     sys.stderr.flush()
-    start = ship.registry
-    children = []
+    entries = dict(ship.registry.entries)
+    children, results = [], []
     try:
         for share in shares[1:]:
             children.append((*_fork_share(pipe, ship, root, share), share))
-        results = [_ingest_share(pipe, ship, root, shares[0], dead_file)]
+        results.append(_ingest_share(pipe, ship, root, shares[0]))
     finally:
-        forked = [_reap_share(*child) for child in children]
-    results += forked
-    for result in forked:
+        results += [_reap_share(*child) for child in children]
+    for result in results:
         dead_file.write(result["dead"])
+        entries.update(result["entries"])
+    dead_file.flush()
+    os.fsync(dead_file.fileno())
+    ship.registry = shipper.TailRegistry(entries)
+    ship.checkpoint()
     failed = [result for result in results if result["error"] is not None]
-    if forked or failed:
-        entries = dict(start.entries)
-        for result in results:
-            entries.update(result["entries"])
-        ship.registry = shipper.TailRegistry(entries)
-        ship.checkpoint()
     if failed:
         raise min(failed, key=lambda result: result["at"])["error"]
     counts = {key: sum(result["counts"][key] for result in results)

@@ -1,8 +1,8 @@
 """File tailer: reads new complete lines and tracks offsets.
 
-Delivery is at-least-once: the registry is checkpointed atomically after a
-batch has been handed downstream, so a crash replays at most the records
-shipped since the last checkpoint. Downstream document ids are derived from
+Delivery is at-least-once: the registry is checkpointed atomically after
+the shipped records have been saved downstream, so a crash replays at most
+the records shipped since the last checkpoint. Downstream document ids are derived from
 (source, offset, line), which makes the replay idempotent.
 """
 

@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import pickle
 import pkgutil
 import random
 import subprocess
@@ -14,8 +15,8 @@ import stormwatch
 from conftest import corpus_paths
 from helpers import read_segment, write_segment
 from stormwatch import index as IX
-from stormwatch import loggen, metrics
-from stormwatch.cli import main
+from stormwatch import loggen, metrics, shipper
+from stormwatch.cli import _reap_share, main
 from stormwatch.pipeline import Document
 from stormwatch.timeutil import parse_date_ms
 
@@ -179,6 +180,52 @@ class TestIngestCommand:
         store = IX.load_store(store_dir)
         total_docs = sum(ix.doc_count for ix in store.indices.values())
         assert total_docs == first["indexed"]
+
+    def test_a_run_checkpoints_the_registry_once(self, small_corpus, tmp_path, capsys,
+                                                 monkeypatch):
+        calls = tmp_path / "checkpoints"
+        checkpoint = shipper.checkpoint
+
+        def counted(registry, path):
+            # Forked shares run this too, and append their own pids.
+            with open(calls, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            checkpoint(registry, path)
+
+        monkeypatch.setattr(shipper, "checkpoint", counted)
+        store = str(tmp_path / "store")
+
+        def checkpoints(*extra):
+            calls.write_text("")
+            code = main(["ingest", "--paths", *corpus_paths(small_corpus["dir"]),
+                         "--store", store, "--base-date", "2024-03-01",
+                         "--batch-size", "100", *extra])
+            capsys.readouterr()
+            return code, calls.read_text().split()
+
+        once = [str(os.getpid())]
+        assert checkpoints() == (0, once)
+        assert checkpoints() == (0, once)  # ships nothing
+        with open(os.path.join(store, "storm-backend-2024.03.01", "manifest.json"), "w") as handle:
+            handle.write("{")
+        assert checkpoints("--registry", str(tmp_path / "fresh.json")) == (2, once)
+
+    def test_a_worker_that_dies_mid_result_fails_by_its_exit_status(self):
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                data = pickle.dumps({"error": None, "entries": {}, "dead": ""})
+                os.write(write_fd, data[: len(data) // 2])
+            finally:
+                os._exit(1)
+        os.close(write_fd)
+        result = _reap_share(pid, read_fd, [(3, "storm-backend.log")])
+        assert str(result["error"]) == f"ingest worker {pid} exited with status 1"
+        assert (result["at"], result["entries"], result["dead"]) == (3, {}, "")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
     def test_snapshot_is_no_larger_than_the_logs(self, small_corpus, cli_store):
         log_bytes = sum(os.path.getsize(p) for p in corpus_paths(small_corpus["dir"]))

@@ -8,8 +8,10 @@ ingest.
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from collections import defaultdict
 
 import pytest
@@ -27,16 +29,26 @@ pytestmark = pytest.mark.skipif(CPUS < 2, reason="needs two usable CPUs to fork 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(IX.__file__)))
 
 
+def start_ingest(*argv, pinned=True):
+    """`stormwatch ingest` started in a fresh process in its own session,
+    pinned to one usable CPU or free to fork its shares."""
+    cpu = min(_AFFINITY(0))
+    return subprocess.Popen(
+        [sys.executable, "-m", "stormwatch.cli", "ingest", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, start_new_session=True,
+        preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pinned else None,
+    )
+
+
+def finish(proc):
+    out, err = proc.communicate(timeout=300)
+    return proc.returncode, out, err
+
+
 def pinned_ingest(*argv):
     """`stormwatch ingest` in a fresh process pinned to one usable CPU."""
-    cpu = min(_AFFINITY(0))
-    proc = subprocess.run(
-        [sys.executable, "-m", "stormwatch.cli", "ingest", *argv],
-        capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": SRC},
-        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    return finish(start_ingest(*argv))
 
 
 @pytest.fixture
@@ -182,3 +194,69 @@ def test_a_corrupt_day_fails_the_run_as_a_single_worker_does(
     assert_reaped(forked)
     assert stored_documents(store) == expected
     assert stored_documents(copy) == expected
+
+
+@pytest.mark.parametrize("kind", ["frontend", "backend"])
+def test_a_failed_share_writes_none_of_its_dead_letters(damaged_corpus, tmp_path, capsys, kind):
+    argv = ["--paths", *corpus_paths(damaged_corpus), "--base-date", "2024-03-01"]
+    clean = str(tmp_path / "clean")
+    assert main(["ingest", *argv, "--store", clean]) == 0
+    # The failing kind's day, written with a registry and dead letters apart.
+    store = str(tmp_path / "store")
+    failing = os.path.join(damaged_corpus, FILENAME_FOR_KIND[LogKind(kind)])
+    assert main(["ingest", "--paths", failing, "--store", store, "--base-date", "2024-03-01",
+                 "--registry", str(tmp_path / "apart.json"),
+                 "--dead-letters", str(tmp_path / "apart.jsonl")]) == 0
+    day = os.path.join(store, f"storm-{kind}-2024.03.01")
+    with open(os.path.join(day, "manifest.json"), "w") as handle:
+        handle.write("{")
+
+    assert main(["ingest", *argv, "--store", store]) == 2
+    shutil.rmtree(day)
+    assert main(["ingest", *argv, "--store", store]) == 0
+    capsys.readouterr()
+    dead = [dead_letters_by_source(os.path.join(s, "dead_letters.jsonl")) for s in (clean, store)]
+    assert dead[0] == dead[1]
+    assert sum(map(len, dead[1].values())) == 8
+    assert stored_documents(store) == stored_documents(clean)
+
+
+def has_manifest(store):
+    return os.path.isdir(store) and any(
+        os.path.exists(os.path.join(store, name, "manifest.json")) for name in os.listdir(store))
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["forked", "pinned"])
+def test_an_ingest_killed_at_any_point_loses_no_lines(small_corpus, tmp_path, pinned):
+    def argv(store):
+        return ["--paths", *corpus_paths(small_corpus["dir"]), "--store", store,
+                "--base-date", "2024-03-01", "--batch-size", "200"]
+
+    def outcome(store):
+        return stored_documents(store), registry_offsets(os.path.join(store, "registry.json"))
+
+    clean = str(tmp_path / "clean")
+    started = time.perf_counter()
+    code, _, err = finish(start_ingest(*argv(clean), pinned=pinned))
+    wall = time.perf_counter() - started
+    assert code == 0, err
+    expected = outcome(clean)
+
+    # A kill that lands after the run has ended kills nothing and still passes.
+    for point in (0.3, 0.6, "first manifest"):
+        store = str(tmp_path / f"killed at {point}")
+        proc = start_ingest(*argv(store), pinned=pinned)
+        if point == "first manifest":
+            while proc.poll() is None and not has_manifest(store):
+                time.sleep(0.002)
+        else:
+            try:
+                proc.wait(timeout=point * wall)
+            except subprocess.TimeoutExpired:
+                pass
+        if proc.poll() is None:  # not reaped, so its pid still names its group
+            os.killpg(proc.pid, signal.SIGKILL)
+        finish(proc)
+        code, _, err = finish(start_ingest(*argv(store), pinned=pinned))
+        assert code == 0, err
+        assert outcome(store) == expected, point
