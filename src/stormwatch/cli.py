@@ -125,37 +125,27 @@ def cmd_loggen(args) -> int:
 
 
 def ingest(pipe, store, ship, paths, dead_file) -> dict[str, int]:
-    """Ship each path to its end, process every record and index the documents.
+    """Ship each path to its end, processing each batch as columns
+    (`pipeline.process_batch`) and writing its groups (`index.write_groups`).
 
-    Each shipped batch's documents are written with one `index_documents`
-    call. The shipper's registry moves past each batch in memory only: the
-    caller checkpoints it once the store is saved. Dead letters go to
-    `dead_file` as JSON lines. Returns the shipped, indexed, dead and
-    dropped record counts.
+    The shipper's registry moves past each batch in memory only: the caller
+    checkpoints it once the store is saved. Dead letters go to `dead_file`
+    as JSON lines. Returns the shipped, indexed, dead and dropped counts.
     """
     from . import pipeline
-    shipped = indexed = dead = 0
-
-    def documents(records):
-        nonlocal dead
-        for record in records:
-            outcome = pipeline.process(pipe, record)
-            if isinstance(outcome, pipeline.DeadLetter):
-                dead += 1
-                dead_file.write(pipeline.dead_letter_json(outcome))
-                dead_file.write("\n")
-            elif outcome is not None:
-                yield outcome
-
+    counts = dict.fromkeys(("shipped", "indexed", "dead", "dropped"), 0)
     for path in paths:
         while True:
             batch = ship.poll(path)
             if not batch.records:
                 break
-            shipped += len(batch.records)
-            indexed += index_store.index_documents(store, documents(batch.records))
-    return {"shipped": shipped, "indexed": indexed, "dead": dead,
-            "dropped": shipped - indexed - dead}
+            writes, dead, dropped = pipeline.process_batch(pipe, batch.records)
+            dead_file.writelines(pipeline.dead_letter_json(letter) + "\n" for letter in dead)
+            counts["shipped"] += len(batch.records)
+            counts["indexed"] += sum(index_store.write_groups(store, groups) for groups in writes)
+            counts["dead"] += len(dead)
+            counts["dropped"] += dropped
+    return counts
 
 
 def _shares(paths: list[str], workers: int, registry) -> list[list[tuple[int, str]]]:

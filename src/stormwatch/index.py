@@ -3,9 +3,10 @@
 Indices are named `storm-<kind>-YYYY.MM.DD` and each holds one in-memory
 shard. A shard keeps its documents as columns, one list of values per field
 indexed by ordinal, with each ordinal's id and field names (`Shard`). A
-write takes a batch of documents (`index_documents`; ingest passes each
-shipped batch): it groups their ids and values by index and field names and
-appends each group to the columns with one `Shard.extend`. A string field
+write takes groups keyed by index and field names, each holding its ids and
+one list of values per field (`write_groups`; ingest passes the pipeline's
+groups, and `index_documents` groups `Document`s), and appends each group
+to the columns with one `Shard.extend`. A string field
 whose values repeat keeps one object per distinct value in its column, as
 Parquet's dictionary encoding stores each distinct value once. The first
 query that reads a field builds that field's index from its column (text
@@ -22,9 +23,9 @@ values once, on first use, and keeps the counts until the next write, as
 postings are kept (`Shard.count`); a filtered or partial-range one counts
 its hits per call, as stats, date histograms and metric series read theirs.
 The kernels run per document in C and in Python only per bucket or per
-distinct value (`aggregate`). `Document` is
-the store's own record type; the pipeline builds them, and this module
-imports no sibling.
+distinct value (`aggregate`). `Document` is the store's own record type,
+which search returns and `index_documents` takes; this module imports no
+sibling.
 
 Snapshots persist one directory per index: a manifest plus the segments it
 lists. A segment holds one zlib stream per group and field, a column's
@@ -36,7 +37,7 @@ the columns it uses, and a loaded column keeps one object per distinct
 string of its group too. The manifest is the commit point of a save;
 `index_names` lists the indices on disk by their manifests alone.
 
-A dated index holds only documents of its own UTC day (`index_documents`
+A dated index holds only documents of its own UTC day (`write_groups`
 enforces it), so a time range prunes whole days: `load_store` skips the days
 a range cannot match and so does the search over a loaded store, and an
 index whose whole day the range covers is queried without it
@@ -610,11 +611,6 @@ def _day_bounds(index_name: str) -> tuple[int, int] | None:
     return (start, start + 86_400_000)
 
 
-def _check_day(index_name: str, timestamp: int) -> bool:
-    bounds = _day_bounds(index_name)
-    return bounds is None or bounds[0] <= timestamp < bounds[1]
-
-
 def _day_in_range(
     index_name: str, time_range: tuple[int | None, int | None] | None
 ) -> bool | None:
@@ -637,48 +633,35 @@ def _day_in_range(
     return (lo is None or lo <= start) and (hi is None or hi >= end)
 
 
-def index_documents(store: Store, docs: Iterable[Document]) -> int:
-    """Write a batch of documents to their indices; returns how many it took.
+# (index name, field names) -> (ids, one list of values per name)
+Groups = dict[tuple[str, tuple], tuple[list[str], list[list]]]
 
-    Each document's id and values join the group for its index and field
-    names, and at the end each group is appended with one `Shard.extend`,
-    so the batch holds no `Document`. A document whose id the batch already
-    holds ends the write there and starts the next, so it replaces the
-    earlier one, as a stored id is replaced. A document without an int
-    `@timestamp`, or outside its index's day, is a StoreError before the
-    documents grouped with it are written.
 
-    A group's string column goes through its shard's memo for the field
-    (`Shard.memos`), which the field's first group decides on: a memo when
-    its values are all strings and at most half of them distinct, else
-    None. A later group is shared only if its values are all strings too,
-    so no value ever changes its type.
-    """
-    groups: dict[tuple[str, tuple], tuple[list[str], list[list]]] = {}
-    seen: set[str] = set()
-    written = 0
-    for doc in docs:
-        fields = doc.fields
-        timestamp = fields.get("@timestamp")
-        if type(timestamp) is not int:
-            raise StoreError(f"document {doc.id} has no @timestamp")
-        if not _check_day(doc.index_name, timestamp):
-            raise StoreError(
-                f"document timestamp outside index day: {doc.index_name}"
-            )
-        if doc.id in seen:
-            _write_groups(store, groups)
+def group_rows(rows: Iterable[tuple[str, str, tuple, Iterable]]) -> list[Groups]:
+    """Group (id, index name, field names, values) rows by index and field
+    names, in order of first occurrence. A row whose id an earlier row of
+    its groups holds starts the next groups, so that, written after them,
+    it replaces the earlier one, as a stored id is replaced."""
+    writes, groups, seen = [], {}, set()
+    for id_, name, names, values in rows:
+        if id_ in seen:
+            writes.append(groups)
             groups, seen = {}, set()
-        seen.add(doc.id)
-        key = (doc.index_name, tuple(fields))
-        group = groups.get(key)
+        seen.add(id_)
+        group = groups.get((name, names))
         if group is None:
-            group = groups[key] = ([], [[] for _ in fields])
-        group[0].append(doc.id)
-        any(map(list.append, group[1], fields.values()))
-        written += 1
-    _write_groups(store, groups)
-    return written
+            group = groups[name, names] = ([], [[] for _ in names])
+        group[0].append(id_)
+        any(map(list.append, group[1], values))
+    writes.append(groups)
+    return writes
+
+
+def index_documents(store: Store, docs: Iterable[Document]) -> int:
+    """Write a batch of documents to their indices, grouped by `group_rows`
+    and written with `write_groups`; returns how many it took."""
+    return sum(write_groups(store, groups) for groups in group_rows(
+        (doc.id, doc.index_name, tuple(doc.fields), doc.fields.values()) for doc in docs))
 
 
 def index_document(store: Store, doc: Document) -> None:
@@ -689,9 +672,26 @@ def index_document(store: Store, doc: Document) -> None:
 _STRINGS = frozenset({str})
 
 
-def _write_groups(
-    store: Store, groups: dict[tuple[str, tuple], tuple[list[str], list[list]]]
-) -> None:
+def write_groups(store: Store, groups: Groups) -> int:
+    """Append each group to its index with one `Shard.extend`; returns how
+    many documents it wrote. A group's ids must not repeat. A group whose
+    `@timestamp` values are not all ints inside its index's day is a
+    StoreError before any group is written.
+
+    A group's string column goes through its shard's memo for the field
+    (`Shard.memos`), which the field's first group decides on: a memo when
+    its values are all strings and at most half of them distinct, else
+    None. A later group is shared only if its values are all strings too,
+    so no value ever changes its type.
+    """
+    for (name, names), (ids, values) in groups.items():
+        stamps = values[names.index("@timestamp")] if "@timestamp" in names else [None]
+        if set(map(type, stamps)) != {int}:
+            bad = next(i for i, stamp in zip(ids, stamps) if type(stamp) is not int)
+            raise StoreError(f"document {bad} has no @timestamp")
+        bounds = _day_bounds(name)
+        if bounds is not None and not bounds[0] <= min(stamps) <= max(stamps) < bounds[1]:
+            raise StoreError(f"document timestamp outside index day: {name}")
     for (name, names), (ids, values) in groups.items():
         index = store.indices.get(name)
         if index is None:
@@ -711,6 +711,7 @@ def _write_groups(
                 column[:] = map(memo.setdefault, column, column)
         shard.extend(names, ids, values)
         index.dirty = True
+    return sum(len(ids) for ids, _ in groups.values())
 
 
 def match_index_pattern(pattern: str, names: list[str]) -> list[str]:

@@ -15,6 +15,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from operator import methodcaller
 
 from .timeutil import parse_iso8601_ms
 
@@ -188,64 +189,90 @@ def compile(library: dict[str, str], expr: str) -> CompiledPattern:
     return CompiledPattern(regex=regex, captures=tuple(captures), group_numbers=numbers)
 
 
-def _convert(raw: str, ftype: str):
-    if ftype == "text":
+def _convert(raw: str | None, ftype: str):
+    """One capture as `ftype`; None when it is missing or fails to convert."""
+    if raw is None or ftype == "text":
         return raw
-    if ftype == "int":
-        value = int(raw)
-        if not INT64_MIN <= value <= INT64_MAX:
-            return None
-        return value
-    if ftype == "float":
-        value = float(raw)
-        if not math.isfinite(value):
-            return None
-        return value
-    if ftype == "ip":
-        if _IPV4_STRICT_RE.match(raw):
-            return raw  # already canonical dotted quad
-        return str(ipaddress.ip_address(raw))
-    if ftype == "timestamp":
-        return parse_iso8601_ms(raw)
-    if ftype == "level":
-        upper = raw.upper()
-        if upper not in LOG_LEVELS:
-            return None
-        return upper
+    try:
+        if ftype == "int":
+            value = int(raw)
+            return value if INT64_MIN <= value <= INT64_MAX else None
+        if ftype == "float":
+            value = float(raw)
+            return value if math.isfinite(value) else None
+        if ftype == "ip":
+            if _IPV4_STRICT_RE.match(raw):
+                return raw  # already canonical dotted quad
+            return str(ipaddress.ip_address(raw))
+        if ftype == "timestamp":
+            return parse_iso8601_ms(raw)
+        if ftype == "level":
+            upper = raw.upper()
+            return upper if upper in LOG_LEVELS else None
+    except (ValueError, OverflowError):
+        return None
     raise PatternError(f"unknown capture type: {ftype}")
 
 
 MatchResult = dict[str, object]
 
 
-def match_line(pattern: CompiledPattern, line: str) -> MatchResult | None:
-    """Match `line` against a compiled pattern.
+def _convert_column(raws: list, ftype: str) -> list:
+    """One column of captures converted to `ftype`, None where one is
+    missing or fails. A clean column converts in C; only a column with a
+    failure is converted row by row."""
+    if ftype == "text":
+        return raws
+    try:
+        if ftype == "int":
+            values = list(map(int, raws))
+            ok = INT64_MIN <= min(values) and max(values) <= INT64_MAX
+        elif ftype == "float":
+            values = list(map(float, raws))
+            ok = all(map(math.isfinite, values))
+        elif ftype == "ip":
+            values, ok = raws, all(map(_IPV4_STRICT_RE.match, raws))
+        elif ftype == "level":
+            values = list(map(str.upper, raws))
+            ok = set(values).issubset(LOG_LEVELS)
+        else:
+            values, ok = list(map(parse_iso8601_ms, raws)), True
+    except (ValueError, OverflowError, TypeError):
+        ok = False
+    return values if ok else [_convert(raw, ftype) for raw in raws]
 
-    Returns the typed field map, or None when the pattern does not match,
-    any declared capture is missing, or any typed conversion fails.
-    Non-matching is a value, never an error. Patterns match anywhere in
-    the line unless the expression was anchored explicitly.
+
+def match_lines(pattern: CompiledPattern, lines: list[str]) -> tuple[list[list], set[int]]:
+    """Match every line against a compiled pattern, as columns.
+
+    Returns one list of typed values per capture, aligned with `lines`,
+    and the positions of the lines that fail: no match, a missing capture
+    or a failed conversion. A failed line's values are meaningless.
+    Patterns match anywhere in the line unless the expression was anchored
+    explicitly.
     """
-    m = pattern.regex.search(line)
-    if m is None:
+    matches = list(map(pattern.regex.search, lines))
+    numbers = pattern.group_numbers
+    if not numbers:
+        return [], {i for i, m in enumerate(matches) if m is None}
+    group = methodcaller("group", *numbers)
+    blank = None if len(numbers) == 1 else (None,) * len(numbers)
+    rows = (list(map(group, matches)) if None not in matches
+            else [blank if m is None else group(m) for m in matches])
+    raws = [rows] if len(numbers) == 1 else list(map(list, zip(*rows)))
+    columns = [_convert_column(column, ftype)
+               for column, (_, ftype) in zip(raws, pattern.captures)]
+    failed = set()
+    for column in columns:
+        if None in column:
+            failed.update(i for i, value in enumerate(column) if value is None)
+    return columns, failed
+
+
+def match_line(pattern: CompiledPattern, line: str) -> MatchResult | None:
+    """Match one line (see `match_lines`): its typed field map, or None
+    when it fails. Non-matching is a value, never an error."""
+    columns, failed = match_lines(pattern, [line])
+    if failed:
         return None
-    if not pattern.captures:
-        return {}
-    raws = m.group(*pattern.group_numbers)
-    if len(pattern.captures) == 1:
-        raws = (raws,)
-    fields: MatchResult = {}
-    for (fieldname, ftype), raw in zip(pattern.captures, raws):
-        if raw is None:
-            return None
-        if ftype == "text":
-            fields[fieldname] = raw
-            continue
-        try:
-            value = _convert(raw, ftype)
-        except (ValueError, OverflowError):
-            return None
-        if value is None:
-            return None
-        fields[fieldname] = value
-    return fields
+    return {name: column[0] for (name, _), column in zip(pattern.captures, columns)}

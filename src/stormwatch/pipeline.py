@@ -1,13 +1,17 @@
-"""Filter pipeline: raw shipped records become the index's `Document`s.
+"""Filter pipeline: batches of shipped records become the index's groups.
 
-A pipeline is an ordered stage list per log kind. Stages are grok (pattern
+A pipeline is an ordered stage list per log kind: grok (pattern
 extraction), date (timestamp resolution), geo (coordinates from client IP),
-mutate (rename/remove/add) and drop (predicate). Each stage is a function
-that `load_pipeline` validates and builds once from its config entry. A
-record that fails a stage becomes a DeadLetter carrying the stage name and
-reason; a dropped record produces neither output and is counted by the
-caller. Every surviving record is routed to the day-partitioned index named
-after its kind and UTC day.
+mutate (rename/remove/add) and drop (predicate). `load_pipeline` validates
+each config entry and builds it once as a function over a batch's rows of
+one kind held as columns (`Rows`), as vectorized query engines run an
+operator per batch. `process_batch` runs each kind's rows through its
+stages and returns one index group per index and field names, the form
+`index.write_groups` takes, so no line becomes a dict or a `Document`;
+`process` is its one-record case. A record that fails a stage becomes a
+DeadLetter carrying the stage name and reason; a dropped record produces
+neither and is counted. Every surviving record goes to the day-partitioned
+index named after its kind and UTC day.
 """
 
 from __future__ import annotations
@@ -17,9 +21,12 @@ import hashlib
 import ipaddress
 import json
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import attrgetter, eq, itemgetter
 
+from . import index as index_store
 from . import patterns
 from .codecs import GRAMMARS, LogKind
 from .index import Document
@@ -34,8 +41,9 @@ from .timeutil import (
 
 DATE_FORMATS = ("iso8601", "time-of-day")
 
-# Attached to every document by the shipper; grok captures may not shadow them.
-RESERVED_FIELDS = frozenset({"message", "beat.name", "offset", "type", "kind", "source"})
+# Attached to every document by the shipper, in this order; grok captures
+# may not shadow them.
+RESERVED_FIELDS = ("message", "beat.name", "offset", "type", "kind", "source")
 
 
 class PipelineConfigError(ValueError):
@@ -102,11 +110,41 @@ def load_geo_table(csv_text: str) -> GeoTable:
     return GeoTable(rows)
 
 
-# A stage takes the document fields and the record. It returns None to pass
-# the record on, DROP when it consumes the record, or a (stage, reason) pair
-# that dead-letters it.
-Stage = Callable[[dict, RawRecord], object]
+ABSENT = object()  # a column's value for a row that lacks the field
 DROP = object()
+_STRINGS = frozenset({str})
+_GEO_FIELDS = ("geo_lat", "geo_lon", "geo_label")
+
+
+@dataclass(slots=True)
+class Rows:
+    """A batch's surviving rows of one log kind, as columns: each row's
+    record, its place in the batch, its field names in the order they were
+    set, and per field each row's value (ABSENT where the row lacks it)."""
+
+    records: list[RawRecord]
+    positions: list[int]
+    shapes: list[tuple[str, ...]]
+    columns: dict[str, list]
+
+    def reshape(self, change: Callable[[tuple], tuple], where: list | None = None) -> None:
+        """Apply `change` to the field names of every row, or of those `where` marks."""
+        memo = {shape: change(shape) for shape in set(self.shapes)}
+        if where is None:
+            self.shapes = list(map(memo.__getitem__, self.shapes))
+        else:
+            self.shapes = [memo[s] if w else s for s, w in zip(self.shapes, where)]
+
+    def keep(self, mask: list[bool]) -> None:
+        """Keep only the rows whose `mask` entry is true."""
+        self.records, self.positions, self.shapes = (
+            list(compress(rows, mask)) for rows in (self.records, self.positions, self.shapes))
+        self.columns = {name: list(compress(column, mask)) for name, column in self.columns.items()}
+
+
+# A stage returns, per row of `Rows` that it ends, DROP or the (stage,
+# reason) that dead-letters it; every other row goes on to the next stage.
+Stage = Callable[[Rows], dict]
 
 
 @dataclass
@@ -124,6 +162,15 @@ def _typed(value, kind: type, what: str):
         names = {dict: "an object", list: "a list", str: "a string"}
         raise PipelineConfigError(f"{what} must be {names[kind]}")
     return value
+
+
+def _grow(names: tuple) -> Callable[[tuple], tuple]:
+    """The shape change that sets `names`; a name already set keeps its place."""
+    return functools.cache(lambda shape: shape + tuple(n for n in names if n not in shape))
+
+
+def _without(name: str) -> Callable[[tuple], tuple]:
+    return functools.cache(lambda shape: tuple(n for n in shape if n != name))
 
 
 def _build_stage(
@@ -144,18 +191,20 @@ def _build_stage(
             compiled = patterns.compile(library, expr)
         except patterns.PatternError as exc:
             raise PipelineConfigError(f"{where}: {exc}") from exc
-        names = {name for name, _ in compiled.captures}
-        clash = RESERVED_FIELDS.intersection(names)
+        names = tuple(name for name, _ in compiled.captures)
+        clash = set(names).intersection(RESERVED_FIELDS)
         if clash:
             raise PipelineConfigError(
                 f"{where}: captures shadow shipping metadata: {sorted(clash)}"
             )
 
-        def grok(fields: dict, record: RawRecord) -> object:
-            captures = patterns.match_line(compiled, record.line)
-            if captures is None:
-                return ("grok", "pattern did not match")
-            fields.update(captures)
+        grow = _grow(names)
+
+        def grok(rows: Rows) -> dict:
+            values, failed = patterns.match_lines(compiled, [r.line for r in rows.records])
+            rows.columns.update(zip(names, values))
+            rows.reshape(grow)
+            return dict.fromkeys(failed, ("grok", "pattern did not match"))
 
         return grok, "@timestamp" in names
     if stype == "date":
@@ -172,40 +221,59 @@ def _build_stage(
         except ValueError as exc:
             raise PipelineConfigError(f"{where}: bad base_date: {exc}") from exc
 
-        def date(fields: dict, record: RawRecord) -> object:
-            raw = fields.get(source)
+        grow, drop_source = _grow(("@timestamp",)), _without(source)
+        settle = functools.cache(lambda shape: drop_source(grow(shape)))
+
+        def parse(raw, record: RawRecord) -> int | tuple[str, str]:
+            """One row's timestamp, or the (stage, reason) that fails it."""
             if not isinstance(raw, str):
                 return ("date", f"missing date source field {source!r}")
             for fmt in formats:
                 try:
                     if fmt == "iso8601":
-                        fields["@timestamp"] = parse_iso8601_ms(raw)
-                    else:
-                        tod = parse_time_of_day_ms(raw)
-                        key = (record.source, source)
-                        ctx = day_contexts.get(key)
-                        if ctx is None:
-                            ctx = day_contexts[key] = DayContext(base_day_ms)
-                        fields["@timestamp"] = ctx.resolve(tod)
+                        return parse_iso8601_ms(raw)
+                    tod = parse_time_of_day_ms(raw)
                 except ValueError as exc:
                     reason = str(exc)
                     continue
-                del fields[source]
-                return None
+                key = (record.source, source)
+                ctx = day_contexts.get(key)
+                if ctx is None:
+                    ctx = day_contexts[key] = DayContext(base_day_ms)
+                return ctx.resolve(tod)
             return ("date", reason)  # formats is never empty
+
+        def date(rows: Rows) -> dict:
+            raws = rows.columns.pop(source, None) or [ABSENT] * len(rows.records)
+            try:
+                if formats != ("iso8601",) or set(map(type, raws)) != _STRINGS:
+                    raise ValueError
+                stamps = list(map(parse_iso8601_ms, raws))
+            except ValueError:  # row by row, in order: a time of day resolves per source
+                stamps = list(map(parse, raws, rows.records))
+            rows.columns["@timestamp"] = stamps
+            rows.reshape(settle)
+            return {i: stamps[i] for i in compress(count(), map(isinstance, stamps, repeat(tuple)))}
 
         return date, True
     if stype == "geo":
         source = spec.get("source")
         if not isinstance(source, str) or not source:
             raise PipelineConfigError(f"{where}: geo stage needs a source field")
+        grow = _grow(_GEO_FIELDS)
 
-        def geo(fields: dict, record: RawRecord) -> object:
-            ip = fields.get(source)
-            if isinstance(ip, str):
-                hit = geo_table.lookup(ip)
-                if hit is not None:
-                    fields["geo_lat"], fields["geo_lon"], fields["geo_label"] = hit
+        def geo(rows: Rows) -> dict:
+            ips = rows.columns.get(source, ())
+            if set(map(type, ips)) == _STRINGS:
+                hits = list(map(geo_table.lookup, ips))
+            else:
+                hits = [geo_table.lookup(ip) if isinstance(ip, str) else None for ip in ips]
+            if any(hits):  # a row without a hit keeps what it had
+                for k, name in enumerate(_GEO_FIELDS):
+                    before = rows.columns.get(name) or repeat(ABSENT)
+                    rows.columns[name] = [hit[k] if hit else old for hit, old in zip(hits, before)]
+                rows.reshape(grow, hits)
+            return {}
 
         return geo, False
     if stype == "mutate":
@@ -214,15 +282,31 @@ def _build_stage(
         adds = tuple(_typed(spec.get("add", {}), dict, f"{where}: add").items())
         for name in (*removes, *(new for _, new in renames)):
             _typed(name, str, f"{where}: each removed field and new name")
+        moves = [(old, new, functools.cache(
+            lambda shape, grow=_grow((new,)), drop=_without(old): grow(drop(shape))))
+            for old, new in renames]
+        deletes = [(name, _without(name)) for name in removes]
+        sets = [(name, value, _grow((name,))) for name, value in adds]
 
-        def mutate(fields: dict, record: RawRecord) -> object:
-            for old, new in renames:
-                if old in fields:
-                    fields[new] = fields.pop(old)
-            for name in removes:
-                fields.pop(name, None)
-            for name, value in adds:
-                fields[name] = value
+        def mutate(rows: Rows) -> dict:
+            columns = rows.columns
+            for old, new, move in moves:
+                values = columns.pop(old, None)
+                if values is None:
+                    continue
+                moved = [value is not ABSENT for value in values]
+                if not all(moved):
+                    before = columns.get(new) or repeat(ABSENT)
+                    values = [v if m else b for v, m, b in zip(values, moved, before)]
+                columns[new] = values
+                rows.reshape(move, moved)
+            for name, delete in deletes:
+                if columns.pop(name, None) is not None:
+                    rows.reshape(delete)
+            for name, value, grow in sets:
+                columns[name] = [value] * len(rows.records)
+                rows.reshape(grow)
+            return {}
 
         return mutate, False
     if stype == "drop":
@@ -230,8 +314,11 @@ def _build_stage(
             raise PipelineConfigError(f"{where}: drop stage needs field and equals")
         name, equals = _typed(spec["field"], str, f"{where}: field"), spec["equals"]
 
-        def drop(fields: dict, record: RawRecord) -> object:
-            return DROP if fields.get(name) == equals else None
+        def drop(rows: Rows) -> dict:
+            values = rows.columns.get(name) or [None] * len(rows.records)
+            if ABSENT in values:  # an absent field compares as None
+                values = [None if value is ABSENT else value for value in values]
+            return dict.fromkeys(compress(count(), map(eq, values, repeat(equals))), DROP)
 
         return drop, False
     raise PipelineConfigError(f"{where}: unknown stage type {stype!r}")
@@ -285,32 +372,76 @@ def record_id(record: RawRecord) -> str:
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:40]
 
 
-def process(pipeline: Pipeline, record: RawRecord) -> Document | DeadLetter | None:
-    """Run one record through its route.
-
-    Returns a Document, a DeadLetter, or None when a drop stage consumed the
-    record. Re-processing the same record yields the same document id.
-    Shipping metadata fields (message, beat.name, offset, type, kind,
-    source) are reserved; grok captures may not reuse them.
+def process_batch(
+    pipeline: Pipeline, records: Sequence[RawRecord]
+) -> tuple[list[index_store.Groups], list[DeadLetter], int]:
+    """Run a batch of records through their routes, each stage over a
+    kind's rows as columns. Returns the surviving records' index groups, in
+    the form and order `index.group_rows` gives, their dead letters in
+    record order and how many records drop stages consumed. Re-processing a
+    record yields the same document id.
     """
-    route = pipeline.routes.get(record.kind)
-    if route is None:
-        return DeadLetter(record, "route", f"no route for kind {record.kind.value}")
-    fields = {
-        "message": record.line,
-        "beat.name": record.beat_name,
-        "offset": record.offset,
-        "type": record.doc_type,
-        "kind": record.kind.value,
-        "source": record.source,
-    }
-    for stage in route:
-        outcome = stage(fields, record)
-        if outcome is not None:
-            return None if outcome is DROP else DeadLetter(record, *outcome)
-    timestamp = fields["@timestamp"]
-    index_name = f"storm-{record.kind.value}-{day_name(timestamp)}"
-    return Document(id=record_id(record), fields=fields, index_name=index_name)
+    dead, dropped, tables = [], 0, []  # dead: (position, DeadLetter)
+    kinds = list(map(attrgetter("kind"), records))
+    for kind in dict.fromkeys(kinds):
+        positions = [p for p, k in enumerate(kinds) if k is kind]
+        chosen = list(map(records.__getitem__, positions))
+        route = pipeline.routes.get(kind)
+        if route is None:
+            reason = f"no route for kind {kind.value}"
+            dead += [(p, DeadLetter(r, "route", reason)) for p, r in zip(positions, chosen)]
+            continue
+        lines, sources, offsets, beats, types, _ = map(list, zip(*chosen))
+        rows = Rows(chosen, positions, [RESERVED_FIELDS] * len(chosen), dict(zip(
+            RESERVED_FIELDS, (lines, beats, offsets, types, [kind.value] * len(lines), sources))))
+        for stage in route:
+            ended = stage(rows)
+            dropped += sum(outcome is DROP for outcome in ended.values())
+            dead += [(rows.positions[i], DeadLetter(rows.records[i], *outcome))
+                     for i, outcome in ended.items() if outcome is not DROP]
+            if ended:
+                rows.keep([i not in ended for i in range(len(rows.records))])
+            if not rows.records:
+                break
+        else:
+            stamps, prefix = rows.columns["@timestamp"], f"storm-{kind.value}-"
+            first = day_name(min(stamps))
+            names = ([prefix + first] * len(stamps) if first == day_name(max(stamps))
+                     else [prefix + day_name(stamp) for stamp in stamps])
+            tables.append((rows, names, list(map(record_id, rows.records))))
+    dead.sort(key=itemgetter(0))
+    return _group(tables), [letter for _, letter in dead], dropped
+
+
+def _group(tables: list[tuple[Rows, list[str], list[str]]]) -> list[index_store.Groups]:
+    """Each kind's rows, with their index names and ids, as index groups:
+    one kind with distinct ids by columns, and several kinds or a replayed
+    line row by row, in record order."""
+    if len(tables) == 1 and len(set(tables[0][2])) == len(tables[0][2]):
+        table, names, ids = tables[0]
+        keys = list(zip(names, table.shapes))
+        if keys.count(keys[0]) == len(keys):
+            return [{keys[0]: (ids, [table.columns[n] for n in keys[0][1]])}]
+        buckets: dict[tuple, list[int]] = {}
+        for i, key in enumerate(keys):
+            buckets.setdefault(key, []).append(i)
+        take = lambda column, picked: list(map(column.__getitem__, picked))
+        return [{(name, shape): (take(ids, picked), [take(table.columns[n], picked) for n in shape])
+                 for (name, shape), picked in buckets.items()}]
+    rows = sorted((p, id_, name, shape, [table.columns[n][i] for n in shape])
+                  for table, names, table_ids in tables
+                  for i, (p, id_, name, shape) in enumerate(
+                      zip(table.positions, table_ids, names, table.shapes)))
+    return index_store.group_rows(row[1:] for row in rows)
+
+
+def process(pipeline: Pipeline, record: RawRecord) -> Document | DeadLetter | None:
+    """The one-record case of `process_batch`: a Document, a DeadLetter, or
+    None when a drop stage consumed the record."""
+    writes, dead, _ = process_batch(pipeline, (record,))
+    for (index_name, names), (ids, values) in writes[0].items():
+        return Document(ids[0], dict(zip(names, map(itemgetter(0), values))), index_name)
+    return dead[0] if dead else None
 
 
 def dead_letter_json(letter: DeadLetter) -> str:

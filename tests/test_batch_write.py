@@ -273,3 +273,51 @@ class TestRefusedExtend:
             index.shards[0].extend(("@timestamp", "status"), ["a", "c", "c"],
                                    [[BASE_TS + 2] * 3, ["WARN"] * 3])
         assert answers() == before
+
+
+class TestGroupWriter:
+    NAMES = ("@timestamp", "status")
+
+    @pytest.mark.parametrize("stamps,message", [
+        ([BASE_TS, "2024-03-01"], "^document d0001 has no @timestamp$"),
+        ([BASE_TS, float(BASE_TS)], "^document d0001 has no @timestamp$"),
+        ([True, BASE_TS], "^document d0000 has no @timestamp$"),
+        ([BASE_TS, BASE_TS + 86_400_000], f"^document timestamp outside index day: {NAME}$"),
+        ([BASE_TS - 1, BASE_TS], f"^document timestamp outside index day: {NAME}$"),
+    ])
+    def test_a_bad_timestamp_is_refused_by_both_write_paths(self, stamps, message):
+        docs = [Document(f"d{i:04d}", {"@timestamp": stamp, "status": "INFO"}, NAME)
+                for i, stamp in enumerate(stamps)]
+        groups = {(NAME, self.NAMES): ([d.id for d in docs], [stamps, ["INFO"] * len(docs)])}
+        for write in (lambda store: IX.write_groups(store, groups),
+                      lambda store: IX.index_documents(store, docs)):
+            store = IX.Store()
+            with pytest.raises(IX.StoreError, match=message):
+                write(store)
+            assert not store.indices
+
+    def test_a_group_without_timestamp_names_its_first_document(self):
+        groups = {(NAME, ("status",)): (["a", "b"], [["INFO", "WARN"]])}
+        with pytest.raises(IX.StoreError, match="^document a has no @timestamp$"):
+            IX.write_groups(IX.Store(), groups)
+
+    def test_a_bad_group_writes_no_group_of_its_call(self):
+        good = {(NAME, ("@timestamp",)): (["a"], [[BASE_TS]])}
+        bad = {("storm-backend-2024.03.02", ("@timestamp",)): (["b"], [[BASE_TS]])}
+        store = IX.Store()
+        with pytest.raises(IX.StoreError, match="outside index day"):
+            IX.write_groups(store, {**good, **bad})
+        assert not store.indices
+        assert IX.write_groups(store, good) == 1
+        assert store.indices[NAME].doc_count == 1
+
+    def test_a_replayed_line_in_one_batch_keeps_its_last_copy(self, backend_records):
+        r = backend_records
+        batch = [r[0], r[1]._replace(beat_name="first"), r[1]._replace(beat_name="last"), r[2]]
+        pipe = stock_pipe()
+        writes, dead, dropped = pipeline.process_batch(pipe, batch)
+        assert (dead, dropped, len(writes)) == ([], 0, 2)
+        store = IX.Store()
+        assert sum(IX.write_groups(store, groups) for groups in writes) == 4
+        assert stored(store) == last_copies(pipe, batch)
+        assert stored(store)[pipeline.record_id(r[1])]["beat.name"] == "last"

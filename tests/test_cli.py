@@ -181,6 +181,49 @@ class TestIngestCommand:
         total_docs = sum(ix.doc_count for ix in store.indices.values())
         assert total_docs == first["indexed"]
 
+    def test_batch_size_does_not_change_what_is_stored(self, tmp_path, capsys):
+        # Heartbeat and backend-metrics lines cross midnight, so their day
+        # contexts roll over inside a batch or between batches, and every
+        # fifth line of a kind is damaged in one of three ways.
+        corpus = tmp_path / "corpus"
+        start = parse_date_ms("2024-03-02") - 100_000
+        loggen.generate(loggen.WorkloadSpec(seed=24, duration_seconds=180, start_ms=start),
+                        [], str(corpus))
+        for path in corpus_paths(str(corpus)):
+            with open(path, encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+            for n in range(2, len(lines), 5):
+                line = lines[n]
+                lines[n] = [f"garbage {n}", line.replace(":", "-", 1), line[:-1]][n % 3]
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+
+        def stored(size):
+            store = str(tmp_path / f"store-{size}")
+            code, out, _ = run(capsys, "ingest", "--paths", *corpus_paths(str(corpus)),
+                               "--store", store, "--base-date", "2024-03-01",
+                               "--batch-size", str(size), "--max-dead-fraction", "1",
+                               "--format", "json-lines")
+            assert code == 0
+            counts = json.loads(out)
+            del counts["elapsed_s"], counts["lines_per_s"]
+            docs = IX.search(IX.load_store(store), "storm-*", IX.MatchAll())
+            with open(os.path.join(store, "dead_letters.jsonl"), encoding="utf-8") as handle:
+                dead = handle.read()
+            with open(os.path.join(store, "registry.json"), encoding="utf-8") as handle:
+                offsets = {path: entry["offset"] for path, entry in json.load(handle).items()}
+            return counts, [(d.id, d.index_name, list(d.fields.items())) for d in docs], \
+                dead, offsets
+
+        one = stored(1)
+        assert one == stored(7)
+        assert one == stored(2000)
+        counts, docs, dead, _ = one
+        assert counts["dead_letters"] > 0 and counts["dropped"] > 0
+        days = {name[-10:] for _, name, _ in docs if "heartbeat" in name or "metrics" in name}
+        assert days == {"2024.03.01", "2024.03.02"}
+        assert {json.loads(line)["stage"] for line in dead.splitlines()} == {"grok"}
+
     def test_a_run_checkpoints_the_registry_once(self, small_corpus, tmp_path, capsys,
                                                  monkeypatch):
         calls = tmp_path / "checkpoints"

@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stormwatch import codecs as C
 from stormwatch import index as IX
@@ -527,3 +529,204 @@ def test_stock_grok_stages_use_the_codec_grammars():
 def test_frontend_document_keeps_surl(default_pipeline):
     doc = PL.process(default_pipeline, frontend_record(GOOD_FRONTEND))
     assert doc.fields.get("surl") == "srm://x/y"
+
+
+# ---------------------------------------------------------------------------
+# `process_batch` over a batch equals `process` over each of its records.
+
+
+def run_one_at_a_time(config, records):
+    """`process` on each record with a fresh pipeline: the documents as
+    (id, index name, field items), the dead letters as (line, stage,
+    reason) in record order, and the dropped count."""
+    pipe = PL.load_pipeline(json.dumps(config))
+    outcomes = [PL.process(pipe, record) for record in records]
+    docs = [(d.id, d.index_name, list(d.fields.items()))
+            for d in outcomes if isinstance(d, PL.Document)]
+    letters = [(d.raw.line, d.stage, d.reason) for d in outcomes if isinstance(d, PL.DeadLetter)]
+    return docs, letters, outcomes.count(None)
+
+
+def run_batch(config, records):
+    """`process_batch` on the whole batch with a fresh pipeline, in the
+    form `run_one_at_a_time` returns, documents taken from the groups."""
+    pipe = PL.load_pipeline(json.dumps(config))
+    writes, dead, dropped = PL.process_batch(pipe, records)
+    docs = []
+    for groups in writes:
+        for (index_name, names), (ids, values) in groups.items():
+            assert all(len(column) == len(ids) for column in values)
+            docs += [(id_, index_name, list(zip(names, row))) for id_, row in zip(ids, zip(*values))]
+    letters = [(d.raw.line, d.stage, d.reason) for d in dead]
+    return writes, docs, letters, dropped
+
+
+def typed(docs):
+    """Documents with each value's type beside it (1, 1.0 and True differ)."""
+    return sorted(repr([(n, type(v).__name__, v) for n, v in d[2]]) + d[0] + d[1] for d in docs)
+
+
+def assert_batch_equals_records(config, records):
+    writes, docs, letters, dropped = run_batch(config, records)
+    one_docs, one_letters, one_dropped = run_one_at_a_time(config, records)
+    assert letters == one_letters
+    assert dropped == one_dropped
+    assert typed(docs) == typed(one_docs)
+    assert len(docs) + len(letters) + dropped == len(records)
+    # Written, the groups give the store that the documents give.
+    grouped, single = IX.Store(), IX.Store()
+    for groups in writes:
+        IX.write_groups(grouped, groups)
+    IX.index_documents(single, [IX.Document(i, dict(items), n) for i, n, items in one_docs])
+    assert ({d.id: list(d.fields.items()) for d in IX.search(grouped, "storm-*", IX.MatchAll())}
+            == {d.id: list(d.fields.items()) for d in IX.search(single, "storm-*", IX.MatchAll())})
+    return docs, letters, dropped
+
+
+def corpus_records(small_corpus, per_kind):
+    """The first lines of each kind of the small corpus, interleaved."""
+    streams = []
+    for kind in LogKind:
+        name = C.FILENAME_FOR_KIND[kind]
+        with open(f"{small_corpus['dir']}/{name}", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()[:per_kind]
+        streams.append([RawRecord(line, name, n, "host", "log", kind)
+                        for n, line in enumerate(lines)])
+    return [record for row in zip(*streams) for record in row]
+
+
+def test_batch_of_the_stock_config_over_mixed_kinds(small_corpus):
+    start = small_corpus["truth"]["start_ms"]
+    config = PL.default_pipeline_config(format_iso8601_ms(start)[:10])
+    records = corpus_records(small_corpus, 36)
+    records[3] = records[3]._replace(line="garbage")
+    docs, letters, dropped = assert_batch_equals_records(config, records)
+    assert letters == [("garbage", "grok", "pattern did not match")]
+    assert len({kind for _, kind, _ in docs}) == 5
+
+
+def test_batch_of_the_custom_route():
+    lines = [
+        "12:00:00.250 INFO n=7 user=alice host=db1",
+        "12:00:00.250 INFO n=7 user=alice",  # second grok misses
+        "2024-03-05T10:00:00.000Z TRACE n=1 user=a host=b",  # dropped
+        "garbage INFO n=1 user=a host=b",  # no date format parses
+        "12:00:01.000 WARN n=0 user=b host=c",  # dropped on an int
+        "12:00:02.000 ERROR n=3 user=c host=d",
+    ]
+    records = [RawRecord(line, "storm-backend.log", n, "be01", "log", LogKind.BACKEND)
+               for n, line in enumerate(lines)]
+    records += [RawRecord("anything", "heartbeat.log", 0, "hb", "log", LogKind.HEARTBEAT),
+                RawRecord("anything", "monitoring.log", 0, "mo", "log", LogKind.MONITORING)]
+    docs, letters, dropped = assert_batch_equals_records(CUSTOM_CONFIG, records)
+    assert [stage for _, stage, _ in letters] == ["grok", "date", "date", "route"]
+    assert dropped == 2
+    assert [name for name, _ in docs[0][2]][-3:] == ["status", "site", "tier"]
+
+
+# Every stage option that leaves rows with different fields: a geo stage
+# that hits some rows, a rename onto a field that exists and of a field
+# that some rows lack, an add onto a field that some rows lack, a rename of
+# a field onto itself, and drops on a field that some rows lack.
+SHAPES_CONFIG = {
+    "routes": {
+        "backend": [
+            {"type": "grok", "pattern": "^%{NOTSPACE:ts} %{WORD:level:level} n=%{INT:n} "
+                                        "x=%{NOTSPACE:x:float} ip=%{NOTSPACE:ip:ip}"},
+            {"type": "date", "source": "ts", "formats": ["iso8601", "time-of-day"],
+             "base_date": BASE},
+            {"type": "geo", "source": "ip"},
+            {"type": "mutate", "rename": {"geo_label": "level", "n": "n"},
+             "add": {"geo_lat": None, "tier": [1, "a"]}, "remove": ["absent"]},
+            {"type": "drop", "field": "n", "equals": 0},
+            {"type": "drop", "field": "geo_lon", "equals": 90},
+        ],
+        "frontend": [
+            {"type": "grok", "pattern": "^%{NOTSPACE:ts} ip=%{NOTSPACE:ip}"},
+            {"type": "date", "source": "ts", "formats": ["time-of-day"], "base_date": BASE},
+            {"type": "geo", "source": "ip"},
+            {"type": "drop", "field": "geo_label", "equals": None},
+        ],
+        "heartbeat": [
+            {"type": "grok", "pattern": "^%{NOTSPACE:ts}"},
+            {"type": "date", "source": "ts", "formats": ["iso8601"]},
+            {"type": "drop", "field": "never_set", "equals": None},
+        ],
+    },
+    "geo_table_csv": "131.154.0.0/16,44.49,11.34,bologna\n2001:1458::/32,46.23,6.05,geneva\n",
+}
+
+STAMPS = ["2024-03-01T12:00:00.000Z", "2024-03-02T00:00:00.001+01:00", "23:59:59.000",
+          "00:00:01.000", "2024-13-01T00:00:00Z", "25:00:00.000", "garbage"]
+LEVELS = ["INFO", "info", "WARNING", "verbose"]
+NUMBERS = ["1", "0", "-3", "99999999999999999999", "9223372036854775807"]
+FLOATS = ["1.5", "2", "1e999", "nan", "-0.0", "x"]
+IPS = ["131.154.10.2", "10.0.0.1", "2001:1458:0201:0000::1", "2001:DB8::1", "300.1.1.1",
+       "01.2.3.4"]
+
+
+def shapes_line(rng):
+    return (f"{rng.choice(STAMPS)} {rng.choice(LEVELS)} n={rng.choice(NUMBERS)}"
+            f" x={rng.choice(FLOATS)} ip={rng.choice(IPS)}")
+
+
+def test_batch_rows_of_different_fields_and_failed_conversions():
+    rng = random.Random(24)
+    records = []
+    for offset in range(400):
+        kind = rng.choice([LogKind.BACKEND, LogKind.FRONTEND, LogKind.HEARTBEAT])
+        line = shapes_line(rng) if kind is LogKind.BACKEND else (
+            f"{rng.choice(STAMPS)} ip={rng.choice(IPS)}")
+        records.append(RawRecord(line, C.FILENAME_FOR_KIND[kind], offset, "b", "log", kind))
+    docs, letters, dropped = assert_batch_equals_records(SHAPES_CONFIG, records)
+    assert {stage for _, stage, _ in letters} == {"grok", "date"}
+    assert dropped and docs
+    assert len({tuple(name for name, _ in items) for _, _, items in docs}) == 3
+    assert not any(name.startswith("storm-heartbeat") for _, name, _ in docs)
+    normalized = {value for _, _, items in docs for name, value in items if name == "ip"}
+    assert "2001:db8::1" in normalized and "2001:1458:201::1" in normalized
+
+
+def test_batch_of_time_of_day_lines_from_interleaved_sources_across_midnight():
+    steps = [("a.log", "23:59:00.000"), ("b.log", "23:58:00.000"), ("a.log", "00:01:00.000"),
+             ("b.log", "23:59:30.000"), ("a.log", "bad"), ("b.log", "00:02:00.000"),
+             ("a.log", "23:00:00.000"), ("b.log", "00:03:00.000")]
+    records = [RawRecord(f"{tod} INFO n=1 user=a host=b", source, offset, "be01", "log",
+                         LogKind.BACKEND) for offset, (source, tod) in enumerate(steps)]
+    docs, _, _ = assert_batch_equals_records(CUSTOM_CONFIG, records)
+    assert sorted(name[-10:] for _, name, _ in docs) == ["2024.03.01"] * 3 + ["2024.03.02"] * 4
+
+
+def test_batch_keeps_each_copy_of_a_repeated_record_in_order():
+    record = frontend_record(GOOD_FRONTEND)
+    records = [record, frontend_record("junk"), record._replace(beat_name="again"), record]
+    config = PL.default_pipeline_config(BASE)
+    assert_batch_equals_records(config, records)
+    writes, _, _, _ = run_batch(config, records)
+    assert [len(groups) for groups in writes] == [1, 1, 1]
+
+
+GOOD_LINES = {
+    LogKind.FRONTEND: GOOD_FRONTEND,
+    LogKind.BACKEND: ("2024-03-01T12:00:00.500Z - INFO [a1]: srmReleaseFiles"
+                      " user='/CN=u' surls='srm://s/a' result=SRM_SUCCESS"),
+    LogKind.BACKEND_METRICS: ("23:59:59.000 - synch.ls [(m1_count=1, count=1) (max=1.0,"
+                              " min=1.0, mean=1.0, p95=1.0, p99=1.0) duration_units=milliseconds]"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(GOOD_LINES, key=lambda k: k.value)),
+                          st.integers(0, 400), st.sampled_from("0aZ.:-' [=]"),
+                          st.integers(0, 3), st.booleans()),
+                min_size=1, max_size=30))
+def test_batch_equals_records_over_damaged_lines(edits):
+    records = []
+    for offset, (kind, at, char, how, other_source) in enumerate(edits):
+        line = GOOD_LINES[kind]
+        at %= len(line)
+        line = [line, line[:at] + char + line[at:], line[:at] + line[at + 1:],
+                line[:at] + char + line[at + 1:]][how]
+        source = C.FILENAME_FOR_KIND[kind] + (".1" if other_source else "")
+        records.append(RawRecord(line, source, offset % 5, "b", "log", kind))
+    assert_batch_equals_records(PL.default_pipeline_config(BASE), records)
