@@ -62,7 +62,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Set
 from datetime import datetime, timezone
 from functools import lru_cache, partial
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from operator import is_not, itemgetter
 from typing import NamedTuple
 
@@ -293,7 +293,7 @@ class Shard:
     documents.
     """
 
-    __slots__ = ("ids", "shapes", "columns", "pending", "by_id", "memos", "live", "plans",
+    __slots__ = ("ids", "shapes", "columns", "pending", "by_id", "memos", "live",
                  "entries", "postings", "ranges", "counts")
 
     def __init__(self) -> None:
@@ -306,26 +306,10 @@ class Shard:
         self.by_id: dict[str, int] = {}
         self.memos: dict[str, dict[str, str] | None] = {}
         self.live: frozenset[int] | None = None
-        # Per field-name tuple: its shared shape and the columns a write of
-        # that shape appends to, its own fields first (see `_plan`).
-        self.plans: dict[tuple, tuple[tuple, list[list]]] = {}
         self.entries: dict[int, tuple] = {}
         self.postings: dict[str, dict[str, list[int]]] = {}
         self.ranges: dict[str, tuple[list[float], list[int], list[int]]] = {}
         self.counts: dict[tuple[str, ...], Counter] = {}
-
-    def _plan(self, names: tuple) -> tuple[tuple, list[list]]:
-        """The shape of these field names and the columns its writes append
-        to: one per name, in order, then every column the shape lacks. A
-        new field's column starts as None for every earlier ordinal."""
-        columns = self.columns
-        for name in names:
-            if name not in columns:
-                columns[name] = [None] * len(self.ids)
-                self.plans.clear()  # every plan appends to the new column
-        rest = [column for name, column in columns.items() if name not in names]
-        plan = self.plans[names] = (names, [*map(columns.__getitem__, names), *rest])
-        return plan
 
     def _invalidate(self) -> None:
         self.live = None
@@ -356,12 +340,18 @@ class Shard:
         by_id = self.by_id
         for id_ in by_id.keys() & ords.keys():
             self._drop(by_id[id_])
-        shape, columns = self.plans.get(names) or self._plan(names)
         self.ids.extend(ids)
-        self.shapes.extend(repeat(shape, n))
+        self.shapes.extend(repeat(names, n))
         by_id.update(ords)
-        for column, group in zip(columns, chain(values, repeat([None] * n))):
+        columns = self.columns
+        for name, group in zip(names, values):
+            column = columns.get(name)
+            if column is None:  # a new field: None for every earlier ordinal
+                column = columns[name] = [None] * start
             column.extend(group)
+        for column in columns.values():
+            if len(column) == start:
+                column.extend(repeat(None, n))
 
     def attach(self, source: str, names: tuple, ids: list[str], streams: list[tuple]) -> None:
         """Append a loaded group as `extend` does, but with each name's values

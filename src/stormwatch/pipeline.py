@@ -8,10 +8,12 @@ one kind held as columns (`Rows`), as vectorized query engines run an
 operator per batch. `process_batch` runs each kind's rows through its
 stages and returns one index group per index and field names, the form
 `index.write_groups` takes, so no line becomes a dict or a `Document`;
-`process` is its one-record case. A record that fails a stage becomes a
-DeadLetter carrying the stage name and reason; a dropped record produces
-neither and is counted. Every surviving record goes to the day-partitioned
-index named after its kind and UTC day.
+`process` is its one-record case. A row has a field exactly when the
+field's column holds a value for it, and its fields come out in name
+order, the order a saved segment keeps. A record that fails a stage
+becomes a DeadLetter carrying the stage name and reason; a dropped record
+produces neither and is counted. Every surviving record goes to the
+day-partitioned index named after its kind and UTC day.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from operator import attrgetter, eq, itemgetter
+from operator import attrgetter, eq, is_not, itemgetter
 
 from . import index as index_store
 from . import patterns
@@ -41,8 +43,8 @@ from .timeutil import (
 
 DATE_FORMATS = ("iso8601", "time-of-day")
 
-# Attached to every document by the shipper, in this order; grok captures
-# may not shadow them.
+# The shipping fields attached to every document; grok captures may not
+# shadow them.
 RESERVED_FIELDS = ("message", "beat.name", "offset", "type", "kind", "source")
 
 
@@ -119,26 +121,18 @@ _GEO_FIELDS = ("geo_lat", "geo_lon", "geo_label")
 @dataclass(slots=True)
 class Rows:
     """A batch's surviving rows of one log kind, as columns: each row's
-    record, its place in the batch, its field names in the order they were
-    set, and per field each row's value (ABSENT where the row lacks it)."""
+    record, its place in the batch, and per field each row's value, ABSENT
+    where the row lacks the field. A row has a field exactly when the
+    field's column holds a value for it."""
 
     records: list[RawRecord]
     positions: list[int]
-    shapes: list[tuple[str, ...]]
     columns: dict[str, list]
-
-    def reshape(self, change: Callable[[tuple], tuple], where: list | None = None) -> None:
-        """Apply `change` to the field names of every row, or of those `where` marks."""
-        memo = {shape: change(shape) for shape in set(self.shapes)}
-        if where is None:
-            self.shapes = list(map(memo.__getitem__, self.shapes))
-        else:
-            self.shapes = [memo[s] if w else s for s, w in zip(self.shapes, where)]
 
     def keep(self, mask: list[bool]) -> None:
         """Keep only the rows whose `mask` entry is true."""
-        self.records, self.positions, self.shapes = (
-            list(compress(rows, mask)) for rows in (self.records, self.positions, self.shapes))
+        self.records, self.positions = (
+            list(compress(rows, mask)) for rows in (self.records, self.positions))
         self.columns = {name: list(compress(column, mask)) for name, column in self.columns.items()}
 
 
@@ -162,15 +156,6 @@ def _typed(value, kind: type, what: str):
         names = {dict: "an object", list: "a list", str: "a string"}
         raise PipelineConfigError(f"{what} must be {names[kind]}")
     return value
-
-
-def _grow(names: tuple) -> Callable[[tuple], tuple]:
-    """The shape change that sets `names`; a name already set keeps its place."""
-    return functools.cache(lambda shape: shape + tuple(n for n in names if n not in shape))
-
-
-def _without(name: str) -> Callable[[tuple], tuple]:
-    return functools.cache(lambda shape: tuple(n for n in shape if n != name))
 
 
 def _build_stage(
@@ -198,12 +183,9 @@ def _build_stage(
                 f"{where}: captures shadow shipping metadata: {sorted(clash)}"
             )
 
-        grow = _grow(names)
-
         def grok(rows: Rows) -> dict:
             values, failed = patterns.match_lines(compiled, [r.line for r in rows.records])
             rows.columns.update(zip(names, values))
-            rows.reshape(grow)
             return dict.fromkeys(failed, ("grok", "pattern did not match"))
 
         return grok, "@timestamp" in names
@@ -220,9 +202,6 @@ def _build_stage(
             base_day_ms = parse_date_ms(base)
         except ValueError as exc:
             raise PipelineConfigError(f"{where}: bad base_date: {exc}") from exc
-
-        grow, drop_source = _grow(("@timestamp",)), _without(source)
-        settle = functools.cache(lambda shape: drop_source(grow(shape)))
 
         def parse(raw, record: RawRecord) -> int | tuple[str, str]:
             """One row's timestamp, or the (stage, reason) that fails it."""
@@ -252,7 +231,6 @@ def _build_stage(
             except ValueError:  # row by row, in order: a time of day resolves per source
                 stamps = list(map(parse, raws, rows.records))
             rows.columns["@timestamp"] = stamps
-            rows.reshape(settle)
             return {i: stamps[i] for i in compress(count(), map(isinstance, stamps, repeat(tuple)))}
 
         return date, True
@@ -260,7 +238,6 @@ def _build_stage(
         source = spec.get("source")
         if not isinstance(source, str) or not source:
             raise PipelineConfigError(f"{where}: geo stage needs a source field")
-        grow = _grow(_GEO_FIELDS)
 
         def geo(rows: Rows) -> dict:
             ips = rows.columns.get(source, ())
@@ -272,7 +249,6 @@ def _build_stage(
                 for k, name in enumerate(_GEO_FIELDS):
                     before = rows.columns.get(name) or repeat(ABSENT)
                     rows.columns[name] = [hit[k] if hit else old for hit, old in zip(hits, before)]
-                rows.reshape(grow, hits)
             return {}
 
         return geo, False
@@ -282,30 +258,21 @@ def _build_stage(
         adds = tuple(_typed(spec.get("add", {}), dict, f"{where}: add").items())
         for name in (*removes, *(new for _, new in renames)):
             _typed(name, str, f"{where}: each removed field and new name")
-        moves = [(old, new, functools.cache(
-            lambda shape, grow=_grow((new,)), drop=_without(old): grow(drop(shape))))
-            for old, new in renames]
-        deletes = [(name, _without(name)) for name in removes]
-        sets = [(name, value, _grow((name,))) for name, value in adds]
 
         def mutate(rows: Rows) -> dict:
             columns = rows.columns
-            for old, new, move in moves:
+            for old, new in renames:
                 values = columns.pop(old, None)
                 if values is None:
                     continue
-                moved = [value is not ABSENT for value in values]
-                if not all(moved):
+                if ABSENT in values:  # a row without `old` keeps its `new`
                     before = columns.get(new) or repeat(ABSENT)
-                    values = [v if m else b for v, m, b in zip(values, moved, before)]
+                    values = [b if v is ABSENT else v for v, b in zip(values, before)]
                 columns[new] = values
-                rows.reshape(move, moved)
-            for name, delete in deletes:
-                if columns.pop(name, None) is not None:
-                    rows.reshape(delete)
-            for name, value, grow in sets:
+            for name in removes:
+                columns.pop(name, None)
+            for name, value in adds:
                 columns[name] = [value] * len(rows.records)
-                rows.reshape(grow)
             return {}
 
         return mutate, False
@@ -392,7 +359,7 @@ def process_batch(
             dead += [(p, DeadLetter(r, "route", reason)) for p, r in zip(positions, chosen)]
             continue
         lines, sources, offsets, beats, types, _ = map(list, zip(*chosen))
-        rows = Rows(chosen, positions, [RESERVED_FIELDS] * len(chosen), dict(zip(
+        rows = Rows(chosen, positions, dict(zip(
             RESERVED_FIELDS, (lines, beats, offsets, types, [kind.value] * len(lines), sources))))
         for stage in route:
             ended = stage(rows)
@@ -416,10 +383,23 @@ def process_batch(
 def _group(tables: list[tuple[Rows, list[str], list[str]]]) -> list[index_store.Groups]:
     """Each kind's rows, with their index names and ids, as index groups:
     one kind with distinct ids by columns, and several kinds or a replayed
-    line row by row, in record order."""
-    if len(tables) == 1 and len(set(tables[0][2])) == len(tables[0][2]):
-        table, names, ids = tables[0]
-        keys = list(zip(names, table.shapes))
+    line row by row, in record order. A row's field names are the fields
+    whose columns hold a value for it, in name order."""
+    shaped = []
+    for table, names, ids in tables:
+        fields = sorted(table.columns)
+        # Per row, whether each field that some row lacks holds a value;
+        # the rows that share this mask share their field names.
+        sparse = [field for field in fields if ABSENT in table.columns[field]]
+        masks = list(zip(*(map(is_not, table.columns[field], repeat(ABSENT))
+                           for field in sparse))) or [()] * len(ids)
+        by_mask = {mask: tuple(field for field in fields
+                               if field not in sparse or mask[sparse.index(field)])
+                   for mask in set(masks)}
+        shaped.append((table, names, ids, list(map(by_mask.__getitem__, masks))))
+    if len(shaped) == 1 and len(set(shaped[0][2])) == len(shaped[0][2]):
+        table, names, ids, shapes = shaped[0]
+        keys = list(zip(names, shapes))
         if keys.count(keys[0]) == len(keys):
             return [{keys[0]: (ids, [table.columns[n] for n in keys[0][1]])}]
         buckets: dict[tuple, list[int]] = {}
@@ -429,9 +409,9 @@ def _group(tables: list[tuple[Rows, list[str], list[str]]]) -> list[index_store.
         return [{(name, shape): (take(ids, picked), [take(table.columns[n], picked) for n in shape])
                  for (name, shape), picked in buckets.items()}]
     rows = sorted((p, id_, name, shape, [table.columns[n][i] for n in shape])
-                  for table, names, table_ids in tables
+                  for table, names, table_ids, shapes in shaped
                   for i, (p, id_, name, shape) in enumerate(
-                      zip(table.positions, table_ids, names, table.shapes)))
+                      zip(table.positions, table_ids, names, shapes)))
     return index_store.group_rows(row[1:] for row in rows)
 
 

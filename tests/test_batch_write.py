@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from conftest import corpus_paths
+from conftest import corpus_paths, ingest_corpus
 from helpers import read_segment
 from stormwatch import cli, pipeline, shipper
 from stormwatch import index as IX
@@ -321,3 +321,15 @@ class TestGroupWriter:
         assert sum(IX.write_groups(store, groups) for groups in writes) == 4
         assert stored(store) == last_copies(pipe, batch)
         assert stored(store)[pipeline.record_id(r[1])]["beat.name"] == "last"
+
+
+def test_a_fresh_store_lists_the_documents_of_its_reloaded_copy(small_corpus, tmp_path):
+    # A pipeline document's fields come out in name order, the order a
+    # segment keeps, so the two match as whole field lists.
+    store, _ = ingest_corpus(small_corpus["dir"])
+    IX.save_store(store, str(tmp_path))
+
+    def listed(store):
+        return [(d.id, list(d.fields.items())) for d in IX.search(store, "storm-*", IX.MatchAll())]
+
+    assert listed(store) == listed(IX.load_store(str(tmp_path)))

@@ -136,6 +136,28 @@ class TestIngestCommand:
         assert stderr == f"error: {message}\n"
         assert not store_dir.exists()
 
+    def test_a_date_stage_may_parse_timestamp_in_place(self, tmp_path, capsys):
+        config = {"routes": {"backend": [
+            {"type": "grok", "pattern": "^%{NOTSPACE:@timestamp:text} %{WORD:level}"},
+            {"type": "date", "source": "@timestamp", "formats": ["iso8601"]},
+        ]}}
+        config_path = tmp_path / "pipeline.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        log = tmp_path / "storm-backend.log"
+        log.write_text("2024-03-01T12:00:00.000Z INFO\n2024-03-01T12:00:01.000Z ERROR\n",
+                       encoding="utf-8")
+        store_dir = str(tmp_path / "store")
+        code, _, stderr = run(capsys, "ingest", "--paths", str(log), "--store", store_dir,
+                              "--config", str(config_path))
+        assert (code, stderr) == (0, "")
+        code, stdout, _ = run(capsys, "query", "--store", store_dir, "--index", "storm-backend-*",
+                              "--format", "json-lines")
+        assert code == 0
+        noon = parse_date_ms("2024-03-01") + 12 * 3_600_000
+        assert [(row["fields"]["@timestamp"], row["fields"]["level"])
+                for row in map(json.loads, stdout.splitlines())] == [
+            (noon, "INFO"), (noon + 1000, "ERROR")]
+
     def test_corrupted_corpus_exceeds_threshold(self, small_corpus, tmp_path, capsys):
         victim = tmp_path / "storm-backend.log"
         src = os.path.join(small_corpus["dir"], "storm-backend.log")

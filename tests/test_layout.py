@@ -8,8 +8,9 @@ not count). Attribute access, imports and strings (as in a `getattr` or a
 tracer patching a module attribute) all count. Matching is by bare name,
 so the check can miss dead code that shares a name with live code.
 
-It also checks that `index.py`, the store every read command loads, imports
-no other stormwatch module.
+It also checks that every name a top-level import binds in a module of
+`src/stormwatch/` is read in that module, and that `index.py`, the store
+every read command loads, imports no other stormwatch module.
 """
 
 import ast
@@ -98,6 +99,20 @@ def test_exemptions_are_current():
     stale = [name for name in sorted(EXEMPT) if name not in definitions
              or definitions[name] in used]
     assert stale == [], f"exempt but deleted or now used, drop the exemption: {stale}"
+
+
+def test_no_top_level_import_is_unused():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{path.stem}: {name}" for name in bound if name not in read]
+    assert unused == [], f"imported but never read: {unused}"
 
 
 def test_index_imports_no_sibling_module():

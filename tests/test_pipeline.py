@@ -216,6 +216,21 @@ class TestCustomRoute:
         assert {key[0] for key in pipe.day_contexts} == {"a.log", "b.log"}
 
 
+def test_a_date_stage_may_parse_timestamp_in_place():
+    # A grok captures the time as text into @timestamp, and the date stage
+    # parses it in place.
+    pipe = PL.load_pipeline(json.dumps({"routes": {"backend": [
+        {"type": "grok", "pattern": "^%{NOTSPACE:@timestamp:text} %{WORD:level}"},
+        {"type": "date", "source": "@timestamp", "formats": ["iso8601"]},
+    ]}}))
+    record = RawRecord("2024-03-01T12:00:00.250Z INFO", "storm-backend.log", 0, "be01", "log",
+                       LogKind.BACKEND)
+    doc = PL.process(pipe, record)
+    assert isinstance(doc, PL.Document)
+    assert doc.fields["@timestamp"] == parse_date_ms(BASE) + 12 * 3_600_000 + 250
+    assert doc.fields["level"] == "INFO"
+
+
 class TestProcess:
     def test_backend_info_document(self, default_pipeline):
         line = (
@@ -621,7 +636,8 @@ def test_batch_of_the_custom_route():
     docs, letters, dropped = assert_batch_equals_records(CUSTOM_CONFIG, records)
     assert [stage for _, stage, _ in letters] == ["grok", "date", "date", "route"]
     assert dropped == 2
-    assert [name for name, _ in docs[0][2]][-3:] == ["status", "site", "tier"]
+    # A document's fields come out in name order.
+    assert [name for name, _ in docs[0][2]][-3:] == ["tier", "type", "user"]
 
 
 # Every stage option that leaves rows with different fields: a geo stage
